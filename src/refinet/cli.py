@@ -15,10 +15,9 @@ from . import gallery
 from .cpwl import CpwlCurve, ScalarCpwl, SupportError, hat, zero_curve
 from .compiler import CompiledIterate, compile_homogeneous
 from .loop import LoopConfig
-from .network import net_stats, save_network, to_json_dict
+from .network import net_stats, save_network
 from .reductions import (ForcingSchedule, compile_affine, compile_anchored,
-                         constant_schedule, iterate_w, stack_curves,
-                         stack_system)
+                         iterate_w, stack_curves, stack_system)
 from .refinement import RefinementOp, apply_v_n
 
 PARSE_ERROR = 2

@@ -88,15 +88,30 @@ class LoopAssets:
 
 
 @lru_cache(maxsize=None)
+def _embed_net() -> ReluNetwork:
+    return lower_curve_1d(embed_curve())
+
+
+@lru_cache(maxsize=None)
+def _controller_net(M: int) -> ReluNetwork:
+    return lower_planar_field(build_controller_field(M))
+
+
+@lru_cache(maxsize=None)
+def _readout_nets(M: int, epsilon: float) -> tuple:
+    return tuple(lower_planar_field(f) for f in readout_fields(M, epsilon))
+
+
+@lru_cache(maxsize=None)
 def loop_assets(M: int, n: int, rho: float, epsilon: float,
                 delta_bar: float) -> LoopAssets:
+    """Each field is lowered once per value of what it depends on: the
+    embedding on nothing, the controller on M, the readouts on (M, eps),
+    and only the selectors on the whole config."""
     cfg = LoopConfig(M, n, rho, epsilon, delta_bar)
-    net_E = lower_curve_1d(embed_curve())
-    net_F = lower_planar_field(build_controller_field(M))
-    fm, fp = readout_fields(cfg)
     chis = [lower_planar_field(f) for f in selector_fields(cfg)]
-    return LoopAssets(cfg, net_E, net_F, lower_planar_field(fm),
-                      lower_planar_field(fp), chis)
+    return LoopAssets(cfg, _embed_net(), _controller_net(M),
+                      *_readout_nets(M, epsilon), chis)
 
 
 def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:

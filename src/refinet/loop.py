@@ -183,10 +183,10 @@ def readout_plus(epsilon: float) -> ScalarCpwl:
     return _knots_cpwl(_plus_knots(epsilon))
 
 
-def readout_fields(cfg: LoopConfig):
+def readout_fields(M: int, epsilon: float):
     """Planar fields rho^-/rho^+ with rho^±(E(t)) = r^±(t)."""
-    knots = [_minus_knots(cfg.epsilon), _plus_knots(cfg.epsilon)]
-    params = _loop_params(cfg.M, [t for k in knots for t, _ in k])
+    knots = [_minus_knots(epsilon), _plus_knots(epsilon)]
+    params = _loop_params(M, [t for k in knots for t, _ in k])
     fm, fp = _loop_fans(params, [_knots_at(k, params) for k in knots])
     return fm, fp
 

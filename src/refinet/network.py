@@ -3,6 +3,8 @@
 Networks are kept in canonical form: zero or more ReLU layers followed by
 exactly one linear output layer.  Affine maps fold into neighbouring
 layers, so pre/post composition and serial wiring never add depth.
+Layers that stack_nets builds wide, and CSR layers read from JSON, store no
+zeros.
 """
 from __future__ import annotations
 
@@ -15,8 +17,11 @@ from scipy import sparse as _sp
 
 from .cpwl import ScalarCpwl
 
-# dense block-diagonal stacking is quadratic in width; switch to CSR above this
+# stack_nets builds a joint layer with at least this many (out x in) entries
+# as CSR, since a dense block diagonal grows quadratically with the width
 _SPARSE_MIN_SIZE = 250_000
+# bytes of activations per layer that one chunk of evaluated points may hold
+_EVAL_BUDGET = 16 * 2 ** 20
 
 
 def _issparse(W) -> bool:
@@ -94,29 +99,36 @@ class ReluNetwork:
     def __call__(self, x):
         """Evaluate on x of shape (d,) or (N, d).
 
-        Input is evaluated in float64, except np.longdouble input, which
-        stays in long double.  Long-double layers run as CSR: numpy has no
-        BLAS for long double, and lowered loop fields are mostly zeros.
+        Points are evaluated one column each (y = W @ y), in chunks whose
+        widest activation stays within ``_EVAL_BUDGET`` bytes, so memory is
+        bounded for any N.  Input is evaluated in float64, except
+        np.longdouble input, which stays in long double.  Long-double layers
+        run as CSR: numpy has no BLAS for long double, and lowered loop
+        fields are mostly zeros.
         """
         x = np.asarray(x)
         long = x.dtype == np.longdouble
         if not long:
             x = x.astype(float, copy=False)
         single = x.ndim == 1
-        y = np.atleast_2d(x)
-        if y.shape[1] != self.input_dim:
-            raise ValueError(f"input dim {y.shape[1]} != {self.input_dim}")
-        for lay in self.layers:
-            W = lay.weights
-            if long and not _issparse(W):
-                W = _sp.csr_matrix(W)
-            if _issparse(W):
-                y = np.asarray((W @ y.T).T) + lay.bias
-            else:
-                y = y @ W.T + lay.bias
-            if lay.activation == "relu":
-                np.maximum(y, 0.0, out=y)
-        return y[0] if single else y
+        x = np.atleast_2d(x)
+        if x.shape[1] != self.input_dim:
+            raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
+        layers = [(_sp.csr_matrix(l.weights) if long and not _issparse(l.weights)
+                   else l.weights, l.bias[:, None], l.activation == "relu")
+                  for l in self.layers]
+        widest = max(l.weights.shape[0] for l in self.layers)
+        chunk = max(1, _EVAL_BUDGET // (x.itemsize * widest))
+        out = np.empty((x.shape[0], self.output_dim), dtype=x.dtype)
+        for s in range(0, x.shape[0], chunk):
+            y = x[s:s + chunk].T
+            for W, b, relu in layers:
+                y = W @ y
+                y += b
+                if relu:
+                    np.maximum(y, 0.0, out=y)
+            out[s:s + chunk] = y.T
+        return out[0] if single else out
 
     def eval_scalar_input(self, t):
         """Convenience for 1-input networks: map array t to (N, out)."""
@@ -221,7 +233,8 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
         else:
             tot_in = sum(prev_dims)
             if tot_out * tot_in >= _SPARSE_MIN_SIZE:
-                W = _sp.block_diag([b.weights for b in blocks], format="csr")
+                W = _sp.block_diag([_sp.csr_matrix(b.weights) for b in blocks],
+                                   format="csr")
             else:
                 W = np.zeros((tot_out, tot_in))
                 r = c = 0
@@ -310,6 +323,7 @@ def _layer_from_json(d: dict) -> Layer:
         c = d["weights_coo"]
         W = _sp.coo_matrix((c["vals"], (c["rows"], c["cols"])),
                            shape=tuple(c["shape"])).tocsr()
+        W.eliminate_zeros()    # files written by older versions store zeros
     else:
         W = np.asarray(d["weights"], dtype=float)
     return Layer(W, np.asarray(d["bias"], dtype=float), d["activation"])

@@ -81,10 +81,12 @@ def digit_residual(x: float, M: int):
 
     Returns (q, r) with q = floor(M x) and r = M x - q for x in [0, 1),
     except that values of M x within 1e-12 of an integer are snapped to it
-    (right-cell digit), and x = 1 maps to (M - 1, 1).
+    (right-cell digit), x in [-1e-12, 0) is snapped to 0, and x = 1 maps
+    to (M - 1, 1).
     """
     if x < -SNAP_TOL or x > 1 + SNAP_TOL:
         raise ValueError(f"digit map argument {x} outside [0, 1]")
+    x = max(x, 0.0)
     if x >= 1 - SNAP_TOL / M:
         return M - 1, 1.0
     y = M * x
@@ -108,6 +110,7 @@ def residual_iterate(x: float, M: int, n: int) -> DigitStream:
     x = float(x)
     if x < -SNAP_TOL or x > 1 + SNAP_TOL:
         raise ValueError(f"digit map argument {x} outside [0, 1]")
+    x = max(x, 0.0)
     num, den = x.as_integer_ratio()       # the residual is num / den
     # the float thresholds of digit_residual as exact bounds on integers:
     # num >= top  <=>  residual >= 1 - SNAP_TOL / M,

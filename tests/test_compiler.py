@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from refinet.cpwl import CpwlCurve, SpecialHat, SupportError, hat
+from unittest import mock
+
+from refinet import compiler
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               glue_blocks, loop_assets, product_gadget,
                               scalar_factor_net)
-from refinet.loop import LoopConfig
+from refinet.loop import (LoopConfig, build_controller_field, readout_fields,
+                          selector_fields)
 from refinet.network import affine_net, lower_scalar_cpwl, post_affine
+from refinet.planar import lower_planar_field
 from refinet.refinement import RefinementOp, apply_v_n, residual_iterate, vectorize
 
 
@@ -47,6 +52,48 @@ def test_scalar_factor_net_tracks_residual():
         assert np.max(np.abs(out[:, 0] - want)) < 1e-9
         # the input parameter rides along unchanged
         assert np.max(np.abs(out[:, 1] - xs)) < 1e-12
+
+
+def _clear_compiler_caches():
+    for f in vars(compiler).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def _same_net(a, b):
+    return len(a.layers) == len(b.layers) and all(
+        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+        for la, lb in zip(a.layers, b.layers))
+
+
+def test_loop_assets_lower_shared_fields_once():
+    M, rho, eps, dbar = 2, 0.25, 0.125, 0.5
+    calls = {"F": 0, "readout": 0, "chi": 0}
+
+    def counting(key, f):
+        def wrapped(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapped
+
+    _clear_compiler_caches()
+    try:
+        with mock.patch.multiple(
+                compiler, build_controller_field=counting("F", build_controller_field),
+                readout_fields=counting("readout", readout_fields),
+                selector_fields=counting("chi", selector_fields)):
+            sweep = [loop_assets(M, n, rho, eps, dbar) for n in range(1, 17)]
+    finally:
+        _clear_compiler_caches()
+    assert calls == {"F": 1, "readout": 1, "chi": 16}
+    # the shared fields are the ones a direct lowering gives
+    fm, fp = readout_fields(M, eps)
+    for n, a in enumerate(sweep, start=1):
+        assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
+        assert _same_net(a.net_rho_minus, lower_planar_field(fm))
+        assert _same_net(a.net_rho_plus, lower_planar_field(fp))
+        chis = selector_fields(LoopConfig(M, n, rho, eps, dbar))
+        assert all(_same_net(c, lower_planar_field(f)) for c, f in zip(a.net_chi, chis))
 
 
 def test_atomic_unit_interval_net():

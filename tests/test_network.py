@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from refinet import compile_anchored, gallery, network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, from_json_dict,
                              identity_net, lower_curve_1d, lower_scalar_cpwl,
@@ -142,3 +148,102 @@ def test_dimension_mismatch_raises():
         serial(identity_net(2), identity_net(3))
     with pytest.raises(ValueError):
         ReluNetwork(1, [Layer(np.eye(2), np.zeros(2), "relu")])
+
+
+def _csr_layers(net):
+    return [l.weights for l in net.layers if sparse.issparse(l.weights)]
+
+
+def test_csr_layers_store_no_zeros():
+    # dense blocks over the sparse cutoff, each mostly zeros
+    base = lower_scalar_cpwl(ScalarCpwl(np.linspace(0, 1, 40),
+                                        np.sin(np.linspace(0, 6, 40))))
+    wide = stack_nets([serial(base, passthrough(1, "general", 2))] * 100,
+                      [[0]] * 100, 1)
+    inst = gallery.koch()
+    koch = compile_anchored(inst.op(), None, inst.anchor(), None, 2).net
+    for net in [wide, koch]:
+        csr = _csr_layers(net)
+        assert csr
+        assert all(W.nnz == W.count_nonzero() for W in csr)
+
+
+def test_json_csr_zeros_dropped_on_load():
+    d = to_json_dict(identity_net(3))
+    d["layers"][0] = {"bias": [0.0, 0.0, 0.0], "activation": "linear",
+                      "weights_coo": {"shape": [3, 3], "rows": [0, 1, 2, 2],
+                                      "cols": [0, 1, 2, 0],
+                                      "vals": [1.0, 0.0, 2.0, 0.0]}}
+    net = from_json_dict(d)
+    (W,) = _csr_layers(net)
+    assert W.nnz == 2
+    x = np.array([[1.0, 2.0, 3.0]])
+    assert np.array_equal(net(x), [[1.0, 0.0, 6.0]])
+
+
+def _reference(net, x):
+    """Plain per-layer evaluation, all points at once, point-major."""
+    y = np.atleast_2d(x)
+    for l in net.layers:
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        y = y @ W.T.astype(y.dtype) + l.bias
+        if l.activation == "relu":
+            y = np.maximum(y, 0.0)
+    return y
+
+
+@st.composite
+def random_nets(draw):
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    layers, prev = [], d
+    for i, w in enumerate(widths):
+        W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.5)
+        if draw(st.booleans()):
+            W = sparse.csr_matrix(W)
+        last = i == len(widths) - 1
+        act = "linear" if last else draw(st.sampled_from(["relu", "linear"]))
+        layers.append(Layer(W, rng.normal(size=w), act))
+        prev = w
+    return ReluNetwork(d, layers), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_nets(), st.integers(1, 5), st.integers(-1, 1), st.integers(1, 3))
+def test_chunked_eval_matches_reference(net_rng, chunk, off, k):
+    net, rng = net_rng
+    widest = max(l.weights.shape[0] for l in net.layers)
+    N = max(0, k * chunk + off)          # just below, at and above k chunks
+    x = rng.normal(size=(N, net.input_dim))
+    with mock.patch.object(network, "_EVAL_BUDGET", chunk * 8 * widest):
+        got = net(x)
+        one = net(x[0]) if N else None
+        lo = net(x.astype(np.longdouble))
+    want = _reference(net, x)
+    assert got.shape == want.shape == (N, net.output_dim)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    if N:
+        assert one.shape == (net.output_dim,)
+        assert np.allclose(one, want[0], rtol=1e-12, atol=1e-12)
+    assert lo.dtype == np.longdouble
+    assert np.allclose(lo, _reference(net, x.astype(np.longdouble)),
+                       rtol=1e-15, atol=1e-15)
+
+
+def test_eval_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    w = 116
+    net = ReluNetwork(1, [Layer(rng.normal(size=(w, 1)), rng.normal(size=w), "relu"),
+                          Layer(rng.normal(size=(w, w)), rng.normal(size=w), "relu"),
+                          Layer(rng.normal(size=(1, w)), np.zeros(1), "linear")])
+    x = rng.uniform(size=(200_000, 1))
+    tracemalloc.start()
+    try:
+        out = net(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two live activations of one chunk, plus the output; N x width is 185 MB
+    assert peak < 3 * network._EVAL_BUDGET + out.nbytes < x.shape[0] * w * 8 / 3

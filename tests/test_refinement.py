@@ -68,6 +68,16 @@ def test_residual_iterate_is_exact_orbit_rounded_once():
     assert drifted > 25
 
 
+def test_negative_within_snap_tolerance_is_zero():
+    x = -9e-13
+    assert digit_residual(x, 2) == (0, 0.0)
+    stream = residual_iterate(x, 2, 2)
+    assert stream.digits == (0, 0) and stream.residuals[-1] == 0.0
+    op = RefinementOp(2, 1, 1, {0: [[1.0]], 1: [[1.0]]})
+    curve = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
+    assert np.array_equal(cascade_eval(op, curve, x, 4), [0.0])
+
+
 def test_mask_support_validation():
     with pytest.raises(ValueError):
         RefinementOp(2, 1, 1, {2: [[1.0]]})   # j outside 0..(M-1)L
