@@ -16,8 +16,9 @@ from .cpwl import CpwlCurve, ScalarCpwl, SupportError, hat, zero_curve
 from .compiler import CompiledIterate, compile_homogeneous
 from .loop import LoopConfig
 from .network import net_stats, save_network
-from .reductions import (ForcingSchedule, compile_affine, compile_anchored,
-                         iterate_w, stack_curves, stack_system)
+from .reductions import (ForcingSchedule, add_anchor, compile_affine,
+                         compile_anchored, iterate_w, stack_curves,
+                         stack_system)
 from .refinement import RefinementOp, apply_v_n
 
 PARSE_ERROR = 2
@@ -95,12 +96,8 @@ def _build(args):
         sched = inst.forcing_schedule()
         eta0 = zero_curve(op.p, op.L)
         defect = compile_affine(op, eta0, sched, n)
-        from .network import lower_curve_1d, post_affine, stack_nets
-        anchor_net = lower_curve_1d(inst.anchor(n))
-        both = stack_nets([defect.net, anchor_net], [[0], [0]], 1)
-        W = np.hstack([np.eye(op.p), np.eye(op.p)])
-        net = post_affine(both, W, np.zeros(op.p))
-        ci = CompiledIterate(net, n, "stage-anchored", {})
+        ci = CompiledIterate(add_anchor(defect.net, inst.anchor(n)), n,
+                             "stage-anchored", {})
         oracle = inst.oracle(n)
         return ci, oracle, op.p, op.L
     # finite-state system: stacked anchored compile

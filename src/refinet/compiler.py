@@ -77,14 +77,14 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
 
 @dataclass
 class LoopAssets:
-    """Lowered controller pieces shared by every atomic net of one stage."""
+    """Lowered controller pieces shared by every atomic net of one stage:
+    the embedding, the controller, the readouts (rho^-, rho^+) and the
+    selectors (chi_0..chi_{M-1}), each a single net."""
 
-    cfg: LoopConfig
     net_E: ReluNetwork
     net_F: ReluNetwork
-    net_rho_minus: ReluNetwork
-    net_rho_plus: ReluNetwork
-    net_chi: list
+    net_rho: ReluNetwork
+    net_chi: ReluNetwork
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +98,8 @@ def _controller_net(M: int) -> ReluNetwork:
 
 
 @lru_cache(maxsize=None)
-def _readout_nets(M: int, epsilon: float) -> tuple:
-    return tuple(lower_planar_field(f) for f in readout_fields(M, epsilon))
+def _readout_net(M: int, epsilon: float) -> ReluNetwork:
+    return lower_planar_field(*readout_fields(M, epsilon))
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +109,8 @@ def loop_assets(M: int, n: int, rho: float, epsilon: float,
     embedding on nothing, the controller on M, the readouts on (M, eps),
     and only the selectors on the whole config."""
     cfg = LoopConfig(M, n, rho, epsilon, delta_bar)
-    chis = [lower_planar_field(f) for f in selector_fields(cfg)]
-    return LoopAssets(cfg, _embed_net(), _controller_net(M),
-                      *_readout_nets(M, epsilon), chis)
+    return LoopAssets(_embed_net(), _controller_net(M), _readout_net(M, epsilon),
+                      lower_planar_field(*selector_fields(cfg)))
 
 
 def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:
@@ -123,11 +122,10 @@ def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:
     step = stack_nets([assets.net_F, passthrough(1, "nonneg", dF)],
                       [[0, 1], [2]], 3)
     chain = [start] + [step] * n
-    branch_m = serial(assets.net_rho_minus, net_h)
-    branch_p = serial(assets.net_rho_plus, net_h)
-    db = branch_m.depth
-    head = stack_nets([branch_m, branch_p, passthrough(1, "nonneg", db)],
-                      [[0, 1], [0, 1], [2]], 3)
+    # (h(rho^-(z)), h(rho^+(z)))
+    branches = serial(assets.net_rho, stack_nets([net_h, net_h], [[0], [1]], 2))
+    head = stack_nets([branches, passthrough(1, "nonneg", branches.depth)],
+                      [[0, 1], [2]], 3)
     tail = stack_nets([min2_net(), passthrough(1, "nonneg", 1)], [[0, 1], [2]], 3)
     return serial(*(chain + [head, tail]))
 
@@ -145,13 +143,12 @@ def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetw
     pL = op.p * op.L
     B = pL * pL
     M = op.M
-    dchi = assets.net_chi[0].depth
+    dchi = assets.net_chi.depth
     # substage 1: (z, Phi) -> (z, c_0..c_{M-1}, Phi)
     sub1 = stack_nets(
-        [passthrough(2, "nonneg", dchi)] + list(assets.net_chi)
-        + [passthrough(B, "general", dchi)],
-        [[0, 1]] + [[0, 1]] * M + [list(range(2, 2 + B))],
-        2 + B)
+        [passthrough(2, "nonneg", dchi), assets.net_chi,
+         passthrough(B, "general", dchi)],
+        [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
     # substage 2: controller step in parallel with M * pL gated products
     Ts = [block_transition(op, q).T for q in range(M)]
     parts = [assets.net_F]

@@ -231,15 +231,6 @@ def zero_curve(p: int, L: int = 1) -> CpwlCurve:
     return CpwlCurve(tuple(constant(0.0) for _ in range(p)), L)
 
 
-def segment_curve(points_t, values, L: int = 1) -> CpwlCurve:
-    """Curve from a shared breakpoint grid and an (n, p) value array."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    comps = tuple(ScalarCpwl(points_t, vals[:, i]) for i in range(vals.shape[1]))
-    return CpwlCurve(comps, L)
-
-
 @dataclass(frozen=True)
 class AtomicTerm:
     """One atom of a compactly supported curve: coeff * h(t - shift) * e_mu.

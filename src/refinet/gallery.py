@@ -67,28 +67,6 @@ def straight_anchor(a, b) -> CpwlCurve:
     return CpwlCurve(comps, 1)
 
 
-def polygonal_generator(chain, angles=None, reflect=None, name="custom") -> PolygonalInstance:
-    """Planar similarity generator: A_j = |edge| R_angle (optional reflect).
-
-    If angles is None, each angle is the direction of edge j, which makes
-    A_j e equal the edge vector automatically.
-    """
-    chain = np.asarray(chain, dtype=float)
-    M = chain.shape[0] - 1
-    mats = []
-    for j in range(M):
-        edge = chain[j + 1] - chain[j]
-        scale = np.hypot(*edge)
-        ang = np.arctan2(edge[1], edge[0]) if angles is None else angles[j]
-        A = scale * rotation(ang)
-        if reflect is not None and reflect[j]:
-            A = A @ REFLECT_Y
-        mats.append(A)
-    inst = PolygonalInstance(name, chain, tuple(mats))
-    inst.check_edges(1e-9)
-    return inst
-
-
 def koch() -> PolygonalInstance:
     chain = np.array([[0, 0], [1 / 3, 0], [0.5, np.sqrt(3) / 6],
                       [2 / 3, 0], [1, 0]])
@@ -162,11 +140,6 @@ def hilbert_rp(p: int) -> PolygonalInstance:
                              tuple(0.5 * U for U in mats))
     inst.check_edges(1e-12)
     return inst
-
-
-def hilbert_rp_unitaries(p: int) -> list:
-    """The signed-permutation factors U_j with A_j = U_j / 2."""
-    return [2.0 * A for A in hilbert_rp(p).matrices]
 
 
 def polygonal_oracle(inst: PolygonalInstance, n: int) -> CpwlCurve:

@@ -9,7 +9,7 @@ away from a small transition set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -105,17 +105,16 @@ def _loop_params(M: int, extra=()) -> list:
 
 def _loop_fans(params, columns) -> list:
     """One fan field per entry of ``columns``: its exact values at the loop
-    vertices E(t), t in ``params``, and their mean at the centroid of the
-    triangle."""
-    bpts = [_embed_exact(t) for t in params]
-    fields = []
-    for vals in columns:
-        vals = np.asarray(vals, dtype=object)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        cval = [Fraction(sum(col), len(vals)) for col in vals.T]
-        fields.append(fan_field((Fraction(2, 3), Fraction(1, 3)), cval, bpts, vals))
-    return fields
+    vertices E(t), t in ``params``, and 0 at the centroid of the triangle.
+    Loop fields are only read on the loop, so the center value is free, and
+    0 makes every readout weight a loop value.  The fan is solved once for
+    all columns."""
+    cols = [np.asarray(c, dtype=object).reshape(len(params), -1) for c in columns]
+    ends = np.cumsum([0] + [c.shape[1] for c in cols])
+    fan = fan_field((Fraction(2, 3), Fraction(1, 3)), [0] * ends[-1],
+                    [_embed_exact(t) for t in params], np.hstack(cols))
+    return [replace(fan, values=fan.values[:, a:b], weights=fan.weights[:, a:b])
+            for a, b in zip(ends, ends[1:])]
 
 
 def _knots_cpwl(knots) -> ScalarCpwl:
@@ -142,11 +141,12 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     """CPwL field F on the triangle with F(E(t)) = E(R(t)).
 
     The loop vertices k/M, (3k+1)/(3M), (3k+2)/(3M) and their values are
-    rational and the planes are solved from them exactly; for M = 2..16
-    every plane coefficient is a float64, so the lowered controller's
-    weights are exact.  Iterated in long double from ``embed`` it then
-    follows the exact orbit that ``residual_iterate`` rounds.  In float64
-    (the compiled networks) its drift still grows about M^n eps.
+    rational and the hat planes are solved from them exactly; for M = 2..16
+    every hat-plane coefficient is an integer and every readout weight is
+    0 or 1, so the lowered controller's weights are exact.  Iterated in
+    long double from ``embed`` it then follows the exact orbit that
+    ``residual_iterate`` rounds.  In float64 (the compiled networks) its
+    drift still grows about M^n eps.
     """
     params = _loop_params(M)
     return _loop_fans(params, [[_embed_exact(M * t % 1) for t in params]])[0]

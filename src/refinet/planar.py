@@ -1,48 +1,47 @@
-"""Planar CPwL fields on a triangulated convex region, and their exact
-lowering to ReLU networks via a max-min lattice of the facet planes.
+"""Planar CPwL fields on a fan, and their exact lowering to depth-2 ReLU
+networks through Courant hat functions.
 
-On a convex domain every CPwL function f with affine pieces l_1..l_P
-satisfies f = max_i min_{j in J_i} l_j where J_i collects the pieces whose
-plane dominates piece i on its own cell; dominance on a triangle is checked
-at its three vertices.  The min/max trees are realized with pairwise ReLU
-gadgets of fixed depth ceil(log2 P) each, independent of the legal sets.
+A fan field is affine on each triangle (c, v_i, v_{i+1}) of a closed
+boundary polygon v_0..v_{n-1} around a center c, so it equals
+v_c + sum_i (v_i - v_c) hat_i, where hat_i is the Courant hat of boundary
+vertex i.  With lr_i its barycentric coordinate in (c, v_i, v_{i+1}) and
+ll_i its coordinate in (c, v_{i-1}, v_i), hat_i = ReLU(min(lr_i, ll_i))
+whenever the two triangles at v_i span less than pi at the center, and
+ReLU(min(a, b)) = ReLU(ReLU(a) - ReLU(a - b)) for any a, b: two ReLU
+layers (He, Li, Xu & Zheng, arXiv:1807.03973).  ``fan_field`` inserts
+boundary-edge midpoints until every wedge is below pi, and fields on one
+fan share the hat layers, differing only in the linear readout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .network import Layer, ReluNetwork, stack_nets
+from .network import Layer, ReluNetwork
 
 
 @dataclass(frozen=True)
 class PlanarCpwlField:
-    """Vertices (V, 2), triangles (T, 3) int, values (V, d), and the piece
-    planes (T, d, 3): value = a x + b y + c on each triangle."""
+    """A fan field: vertices (n+1, 2), the center first; values (n+1, d);
+    hat_planes (2n, 3), the first-layer planes a x + b y + c of lr_i
+    (rows 0..n-1) and lr_i - ll_i (rows n..2n-1); weights (n, d), the
+    readout v_i - v_c."""
 
     vertices: np.ndarray
-    triangles: np.ndarray
     values: np.ndarray
-    planes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        object.__setattr__(self, "values", vals)
-        planes = np.asarray(self.planes, dtype=float)
-        if planes.shape != (self.triangles.shape[0], self.d, 3):
-            raise ValueError(f"planes have shape {planes.shape}, want "
-                             f"{(self.triangles.shape[0], self.d, 3)}")
-        object.__setattr__(self, "planes", planes)
+    hat_planes: np.ndarray
+    weights: np.ndarray
 
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def triangles(self) -> np.ndarray:
+        n = self.vertices.shape[0] - 1
+        return np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
 
     def __call__(self, pts, tol: float = 1e-9):
         """Direct barycentric evaluation (oracle path)."""
@@ -69,130 +68,69 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
     """Fan triangulation over a closed boundary polygon (cyclic order).
 
     Every datum is read as its exact rational value (floats of any width,
-    ints or ``fractions.Fraction``).  Each piece plane is solved exactly,
-    relative to the center, and rounded once to float64, so the planes do
-    not inherit the rounding of a float solve.
+    ints or ``fractions.Fraction``).  Boundary-edge midpoints, with their
+    interpolated values, are inserted until every wedge is below pi, which
+    leaves the field unchanged.  The hat planes and the readout weights are
+    solved exactly and each rounded once to float64.
     """
-    cval = np.atleast_1d(np.asarray(center_value, dtype=object))
+    def exact(v):
+        return Fraction(*v.as_integer_ratio())
+
+    cx, cy, *cv = (exact(v) for v in [*center, *np.atleast_1d(
+        np.asarray(center_value, dtype=object))])
     bvals = np.asarray(boundary_values, dtype=object)
     if bvals.ndim == 1:
         bvals = bvals[:, None]
-    n, d = bvals.shape
-    # rows (x, y, values...) of the center and the boundary vertices, as
-    # integers over one common denominator D
-    rows = [[*center, *cval]] + [[*p, *v] for p, v in zip(boundary_pts, bvals)]
-    ratios = [[v.as_integer_ratio() for v in r] for r in rows]
-    D = math.lcm(*(q for r in ratios for _, q in r))
-    (cx, cy, *cv), *ring = [[p * (D // q) for p, q in r] for r in ratios]
-    planes = np.empty((n, d, 3))
-    for i in range(n):
-        (ux, uy, *du), (wx, wy, *dw) = [
-            [a - b for a, b in zip(r, (cx, cy, *cv))] for r in (ring[i], ring[(i + 1) % n])]
-        det = ux * wy - uy * wx
-        for k in range(d):
-            na = du[k] * wy - dw[k] * uy
-            nb = ux * dw[k] - wx * du[k]
-            planes[i, k] = na / det, nb / det, (cv[k] * det - na * cx - nb * cy) / (det * D)
-    table = np.array(rows, dtype=float)
-    tris = np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
-    return PlanarCpwlField(table[:, :2], tris, table[:, 2:], planes)
+    # rows (x - cx, y - cy, values...) of the boundary vertices
+    ring = [[exact(p[0]) - cx, exact(p[1]) - cy, *map(exact, v)]
+            for p, v in zip(boundary_pts, bvals)]
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def mid(a, b):
+        return [(s + t) / 2 for s, t in zip(a, b)]
+
+    sign = 1 if cross(ring[0], ring[1]) > 0 else -1
+    if any(sign * cross(ring[i - 1], ring[i]) <= 0 for i in range(len(ring))):
+        raise ValueError("boundary polygon is not star-shaped around the center")
+    while True:
+        n = len(ring)
+        wide = [i for i in range(n) if sign * cross(ring[i - 1], ring[(i + 1) % n]) <= 0]
+        if not wide:
+            break
+        i = wide[0]
+        ring[i:i + 1] = [mid(ring[i - 1], ring[i]), ring[i], mid(ring[i], ring[(i + 1) % n])]
+
+    def plane(a, den):
+        # the affine function p -> cross(a, p - c) / den
+        return -a[1] / den, a[0] / den, (a[1] * cx - a[0] * cy) / den
+
+    right, diff = [], []
+    for i, u in enumerate(ring):
+        prev, nxt = ring[i - 1], ring[(i + 1) % n]
+        lr = plane([-nxt[0], -nxt[1]], cross(u, nxt))
+        ll = plane(prev, cross(prev, u))
+        right.append(lr)
+        diff.append([a - b for a, b in zip(lr, ll)])
+    vertices = [[cx, cy]] + [[r[0] + cx, r[1] + cy] for r in ring]
+    return PlanarCpwlField(
+        vertices=np.array(vertices, dtype=float),
+        values=np.array([cv] + [r[2:] for r in ring], dtype=float),
+        hat_planes=np.array(right + diff, dtype=float),
+        weights=np.array([[v - w for v, w in zip(r[2:], cv)] for r in ring], dtype=float))
 
 
-def _legal_sets(field: PlanarCpwlField, planes_c: np.ndarray, tol_rel: float = 1e-9):
-    """J_i = pieces whose plane dominates piece i on triangle i (one component)."""
-    T = field.triangles.shape[0]
-    # plane values at every triangle vertex: (T planes, T tris, 3 verts)
-    vert_xy = field.vertices[field.triangles]  # (T, 3, 2)
-    ones = np.ones(vert_xy.shape[:2] + (1,))
-    X = np.concatenate([vert_xy, ones], axis=2)  # (T, 3, 3)
-    vals = np.einsum("jk,tvk->jtv", planes_c, X)  # (planes j, tri t, vert v)
-    scale = 1.0 + np.max(np.abs(vals))
-    groups = []
-    for i in range(T):
-        ok = np.all(vals[:, i, :] >= vals[i, i, :][None, :] - tol_rel * scale, axis=1)
-        groups.append(list(np.nonzero(ok)[0]))
-    return groups
-
-
-def _tree_reduce_layers(init_A, init_c, groups, n_stages, op):
-    """Min (op='min') or max tree over affine values, fixed stage count.
-
-    init_A/init_c express the leaf values as an affine map of the network
-    input; returns (layers, final_W, final_b) with one value per group.
-    """
-    layers = []
-    # current values = A @ (last relu output) + c; initially of the raw input
-    A = np.asarray(init_A, dtype=float)
-    c = np.asarray(init_c, dtype=float)
-    sizes = [len(g) for g in groups]
-    offs = np.cumsum([0] + sizes)
-    order = []  # row index per (group, member)
-    for gi, g in enumerate(groups):
-        order.append(list(range(offs[gi], offs[gi + 1])))
-    for _ in range(n_stages):
-        rows_W = []
-        rows_b = []
-        new_order = []
-        recon = []  # per new value: list of (relu_row, coeff)
-        r = 0
-        for g in order:
-            new_g = []
-            i = 0
-            while i < len(g):
-                if i + 1 < len(g):
-                    u, v = g[i], g[i + 1]
-                    if op == "min":
-                        rows_W.append(A[u] - A[v]); rows_b.append(c[u] - c[v])
-                    else:
-                        rows_W.append(A[v] - A[u]); rows_b.append(c[v] - c[u])
-                    rows_W.append(A[u]); rows_b.append(c[u])
-                    rows_W.append(-A[u]); rows_b.append(-c[u])
-                    sgn = -1.0 if op == "min" else 1.0
-                    recon.append([(r, sgn), (r + 1, 1.0), (r + 2, -1.0)])
-                    r += 3
-                    i += 2
-                else:
-                    w = g[i]
-                    rows_W.append(A[w]); rows_b.append(c[w])
-                    rows_W.append(-A[w]); rows_b.append(-c[w])
-                    recon.append([(r, 1.0), (r + 1, -1.0)])
-                    r += 2
-                    i += 1
-                new_g.append(len(recon) - 1)
-            new_order.append(new_g)
-        W = np.vstack(rows_W)
-        b = np.array(rows_b)
-        layers.append(Layer(W, b, "relu"))
-        A = np.zeros((len(recon), r))
-        c = np.zeros(len(recon))
-        for vi, combo in enumerate(recon):
-            for row, coeff in combo:
-                A[vi, row] = coeff
-        order = new_order
-    final_rows = [g[0] for g in order]
-    for g in order:
-        if len(g) != 1:
-            raise RuntimeError("tree reduction did not converge")
-    return layers, A[final_rows], c[np.array(final_rows)]
-
-
-def lower_planar_component(field: PlanarCpwlField, comp: int) -> ReluNetwork:
-    planes = field.planes[:, comp, :]  # (P, 3)
-    P = planes.shape[0]
-    groups = _legal_sets(field, planes)
-    stages = max(1, math.ceil(math.log2(P))) if P > 1 else 1
-    # leaves: member plane values, affine in (x, y)
-    leaf_A = np.vstack([planes[j, :2] for g in groups for j in g])
-    leaf_c = np.array([planes[j, 2] for g in groups for j in g])
-    layers, A, c = _tree_reduce_layers(leaf_A, leaf_c, groups, stages, "min")
-    # max tree over the per-piece minima
-    mgroups = [list(range(P))]
-    mlayers, A2, c2 = _tree_reduce_layers(A, c, mgroups, stages, "max")
-    out = layers + mlayers + [Layer(A2, c2, "linear")]
-    return ReluNetwork(2, out)
-
-
-def lower_planar_field(field: PlanarCpwlField) -> ReluNetwork:
-    """Exact ReLU realization of the field on its convex domain."""
-    nets = [lower_planar_component(field, k) for k in range(field.d)]
-    return stack_nets(nets, [[0, 1]] * len(nets), 2)
+def lower_planar_field(*fields: PlanarCpwlField) -> ReluNetwork:
+    """Exact depth-2 ReLU realization of fields on one fan: a shared layer
+    of hats and one linear readout, the fields' outputs concatenated."""
+    f0 = fields[0]
+    if any(not np.array_equal(f.vertices, f0.vertices) for f in fields):
+        raise ValueError("fields lowered together must share their fan vertices")
+    n = f0.weights.shape[0]
+    P = f0.hat_planes
+    return ReluNetwork(2, [
+        Layer(P[:, :2], P[:, 2], "relu"),
+        Layer(np.hstack([np.eye(n), -np.eye(n)]), np.zeros(n), "relu"),
+        Layer(np.hstack([f.weights for f in fields]).T,
+              np.concatenate([f.values[0] for f in fields]), "linear")])

@@ -20,8 +20,8 @@ from .cpwl import (CpwlCurve, ScalarCpwl, SupportError, curve_add,
                    curve_scale, merge_grids, zero_curve)
 from .compiler import CompiledIterate, compile_homogeneous
 from .loop import LoopConfig
-from .network import (affine_net, lower_curve_1d, net_stats, passthrough,
-                      post_affine, serial, stack_nets)
+from .network import (ReluNetwork, affine_net, lower_curve_1d, net_stats,
+                      passthrough, post_affine, serial, stack_nets)
 from .refinement import RefinementOp, apply_v
 
 
@@ -129,12 +129,15 @@ def compile_anchored(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
             "the defect is not compactly supported")
     eta = eta if eta is not None else zero_curve(op.p, op.L)
     defect = compile_affine(op, eta, constant_schedule(E), n, cfg)
-    anchor_net = lower_curve_1d(Gamma)
-    both = stack_nets([defect.net, anchor_net], [[0], [0]], 1)
-    W = np.hstack([np.eye(op.p), np.eye(op.p)])
-    net = post_affine(both, W, np.zeros(op.p))
-    return CompiledIterate(net, n, "anchored",
+    return CompiledIterate(add_anchor(defect.net, Gamma), n, "anchored",
                            {"defect_stats": net_stats(defect.net)})
+
+
+def add_anchor(net: ReluNetwork, Gamma: CpwlCurve) -> ReluNetwork:
+    """t -> net(t) + Gamma(t), the anchor lowered alongside the defect net."""
+    p = net.output_dim
+    both = stack_nets([net, lower_curve_1d(Gamma)], [[0], [0]], 1)
+    return post_affine(both, np.hstack([np.eye(p), np.eye(p)]), np.zeros(p))
 
 
 @dataclass(frozen=True)

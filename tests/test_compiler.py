@@ -87,13 +87,12 @@ def test_loop_assets_lower_shared_fields_once():
         _clear_compiler_caches()
     assert calls == {"F": 1, "readout": 1, "chi": 16}
     # the shared fields are the ones a direct lowering gives
-    fm, fp = readout_fields(M, eps)
+    rho_net = lower_planar_field(*readout_fields(M, eps))
     for n, a in enumerate(sweep, start=1):
         assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
-        assert _same_net(a.net_rho_minus, lower_planar_field(fm))
-        assert _same_net(a.net_rho_plus, lower_planar_field(fp))
+        assert _same_net(a.net_rho, rho_net)
         chis = selector_fields(LoopConfig(M, n, rho, eps, dbar))
-        assert all(_same_net(c, lower_planar_field(f)) for c, f in zip(a.net_chi, chis))
+        assert _same_net(a.net_chi, lower_planar_field(*chis))
 
 
 def test_atomic_unit_interval_net():

@@ -79,6 +79,21 @@ def test_lowered_controller_orbit_drift_small_m():
         assert worst < 1e-9
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs a long double with a 64-bit significand")
+def test_lowered_controller_exact_for_every_m():
+    # iterated in long double from embed, the lowered controller follows the
+    # exact residual orbit, which is a float64 at every step
+    xs = np.random.default_rng(4).uniform(0, 1, 200)
+    for M in range(2, 17):
+        net = lower_planar_field(build_controller_field(M))
+        orbits = np.array([residual_iterate(x, M, 8).residuals for x in xs])
+        z = embed(xs)
+        for j in range(1, 9):
+            z = net(z)
+            assert np.max(np.abs(z - embed(orbits[:, j]))) == 0
+
+
 def test_readout_endpoints():
     eps = 0.125
     rm, rp = readout_minus(eps), readout_plus(eps)

@@ -13,6 +13,7 @@ from refinet.network import (Layer, ReluNetwork, affine_net, from_json_dict,
                              min2_net, net_stats, parallel, passthrough,
                              post_affine, pre_affine, serial, stack_nets,
                              to_json_dict)
+from refinet.reductions import stack_curves, stack_system
 
 
 def rand_pts(rng, n, d):
@@ -160,9 +161,11 @@ def test_csr_layers_store_no_zeros():
                                         np.sin(np.linspace(0, 6, 40))))
     wide = stack_nets([serial(base, passthrough(1, "general", 2))] * 100,
                       [[0]] * 100, 1)
-    inst = gallery.koch()
-    koch = compile_anchored(inst.op(), None, inst.anchor(), None, 2).net
-    for net in [wide, koch]:
+    # gosper stacked n=2, the compiled net whose wide layers are CSR
+    op, _ = stack_system(gallery.gosper_system())
+    anchor = stack_curves([gallery.straight_anchor((0, 0), (1, 0))] * 2)
+    gosper = compile_anchored(op, None, anchor, None, 2).net
+    for net in [wide, gosper]:
         csr = _csr_layers(net)
         assert csr
         assert all(W.nnz == W.count_nonzero() for W in csr)
