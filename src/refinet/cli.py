@@ -8,15 +8,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import gallery
 from .cpwl import CpwlCurve, ScalarCpwl, SupportError, hat, zero_curve
-from .compiler import CompiledIterate, compile_homogeneous
+from .compiler import compile_homogeneous
 from .loop import LoopConfig
-from .network import net_stats, save_network
-from .reductions import (ForcingSchedule, add_anchor, compile_affine,
+from .network import save_network
+from .reductions import (ForcingSchedule, anchor_power0, compile_affine,
                          compile_anchored, iterate_w, stack_curves,
                          stack_system)
 from .refinement import RefinementOp, apply_v_n
@@ -57,7 +58,7 @@ def _default_gamma(op: RefinementOp, rho: float = 0.25) -> CpwlCurve:
 
 
 def _build(args):
-    """Compile the requested stage; returns (CompiledIterate, oracle, p, L)."""
+    """Compile the requested stage; returns (CompiledIterate, oracle, op)."""
     n = args.stage
     mode = args.mode
     if args.spec:
@@ -68,7 +69,7 @@ def _build(args):
             gamma = _default_gamma(op)
             ci = compile_homogeneous(op, gamma, n)
             oracle = apply_v_n(op, gamma, n)
-            return ci, oracle, op.p, op.L
+            return ci, oracle, op
         if mode == "affine":
             if forcing is None:
                 raise SupportError("affine mode needs a forcing entry in the spec")
@@ -77,7 +78,7 @@ def _build(args):
             gamma = zero_curve(op.p, op.L)
             ci = compile_affine(op, gamma, sched, n)
             oracle = iterate_w(op, gamma, sched, n)
-            return ci, oracle, op.p, op.L
+            return ci, oracle, op
         raise SupportError(f"mode {mode!r} needs a named example")
     inst = gallery.get_instance(args.example)
     if isinstance(inst, gallery.PolygonalInstance):
@@ -87,19 +88,17 @@ def _build(args):
             gamma = _default_gamma(op)
             ci = compile_homogeneous(op, gamma, n)
             oracle = apply_v_n(op, gamma, n)
-            return ci, oracle, op.p, op.L
+            return ci, oracle, op
         ci = compile_anchored(op, None, Gamma, None, n)
         oracle = gallery.polygonal_oracle(inst, n)
-        return ci, oracle, op.p, op.L
+        return ci, oracle, op
     if isinstance(inst, gallery.ConnectorInstance):
         op = inst.op()
-        sched = inst.forcing_schedule()
-        eta0 = zero_curve(op.p, op.L)
-        defect = compile_affine(op, eta0, sched, n)
-        ci = CompiledIterate(add_anchor(defect.net, inst.anchor(n)), n,
-                             "stage-anchored", {})
+        eta, sched = anchor_power0(zero_curve(op.p, op.L), inst.forcing_schedule(),
+                                   n, inst.anchor(n))
+        ci = replace(compile_affine(op, eta, sched, n), builder="stage-anchored")
         oracle = inst.oracle(n)
-        return ci, oracle, op.p, op.L
+        return ci, oracle, op
     # finite-state system: stacked anchored compile
     sysm = inst
     op, _ = stack_system(sysm)
@@ -107,10 +106,10 @@ def _build(args):
                           for _ in range(sysm.r)])
     ci = compile_anchored(op, None, Gamma, None, n)
     oracle = stack_curves(gallery.gosper_oracle(n))
-    return ci, oracle, op.p, op.L
+    return ci, oracle, op
 
 
-def _verify_grid(ci: CompiledIterate, op_M: int, n: int, L: int, g: int):
+def _verify_grid(op_M: int, n: int, L: int, g: int):
     cfg = LoopConfig(op_M, max(n, 1))
     ts = np.linspace(-0.5, L + 0.5, g)
     breaks = np.arange(op_M ** n * L + 1) / op_M ** n
@@ -120,7 +119,7 @@ def _verify_grid(ci: CompiledIterate, op_M: int, n: int, L: int, g: int):
 
 
 def cmd_build(args):
-    ci, _, _, _ = _build(args)
+    ci, _, _ = _build(args)
     out = args.out or "network.json"
     save_network(ci.net, out, builder=ci.builder)
     s = ci.stats
@@ -130,11 +129,10 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    ci, oracle, p, L = _build(args)
-    M = _instance_M(args)
-    ts = _verify_grid(ci, M, args.stage, L, args.grid)
+    ci, oracle, op = _build(args)
+    ts = _verify_grid(op.M, args.stage, op.L, args.grid)
     got = ci(ts)
-    want = np.atleast_2d(oracle(ts).reshape(len(ts), p))
+    want = np.atleast_2d(oracle(ts).reshape(len(ts), op.p))
     err = float(np.max(np.abs(got - want)))
     ok = err <= args.tol
     report = {"stage": args.stage, "points": len(ts), "max_abs_error": err,
@@ -147,27 +145,14 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _instance_M(args) -> int:
-    if args.spec:
-        with open(args.spec) as fh:
-            return int(json.load(fh)["M"])
-    inst = gallery.get_instance(args.example)
-    return inst.M
-
-
 def _curve_points(args):
     """Sample points of the requested stage curve via the chosen backend."""
-    n = args.stage
-    M = _instance_M(args)
-    res = max(args.grid, 4 * M ** n + 1)
+    ci, oracle, op = _build(args)
+    res = max(args.grid, 4 * op.M ** args.stage + 1)
     ts = np.linspace(0.0, 1.0, res)
     if args.backend == "network":
-        ci, _, p, _ = _build(args)
-        pts = ci(ts)
-    else:
-        _, oracle, p, _ = _build(args)
-        pts = oracle(ts).reshape(res, p)
-    return ts, np.asarray(pts)
+        return ts, np.asarray(ci(ts))
+    return ts, oracle(ts).reshape(res, op.p)
 
 
 def cmd_render(args):
@@ -211,7 +196,7 @@ def cmd_stats(args):
     for n in range(1, args.stage + 1):
         a2 = argparse.Namespace(**vars(args))
         a2.stage = n
-        ci, _, _, _ = _build(a2)
+        ci, _, _ = _build(a2)
         s = ci.stats
         rows.append((n, s["depth"], s["width"], s["coeff_max"]))
     print(f"{'n':>3} {'depth':>6} {'d1':>5} {'d2':>5} {'width':>7} {'coeff_max':>12}")
@@ -236,7 +221,7 @@ def main(argv=None):
                         choices=None)
         sp.add_argument("--stage", type=int, default=2)
         sp.add_argument("--mode", default="anchored",
-                        choices=["homogeneous", "affine", "anchored", "stacked"])
+                        choices=["homogeneous", "affine", "anchored"])
         sp.add_argument("--grid", type=int, default=1000)
         sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--out")

@@ -2,11 +2,12 @@
 
 An atomic curve h(t) e_mu on one support cell is compiled by
   * a controller pass computing the scalar factor h(R^n(x)) through the
-    min of two readout branches, with x carried alongside,
-  * a second controller pass driving selector-gated transition blocks:
+    min of two readout branches, with E(x) carried alongside,
+  * a second controller pass, restarted from the carried E(x), driving
+    selector-gated transition blocks:
     Phi_0 = h(R^n x) e_l,  Phi_j = sum_q Pi_a(chi_q(z_{j-1}), T_q' Phi_{j-1}),
-    one branch per output coordinate l, sharing the controller state and
-    the selector values across branches.
+    one branch per output coordinate l; one product gadget per digit q
+    gates all branches, since they share the selector chi_q.
 Cell networks are glued over the support window [0, L] with clamped ramps,
 and atomic contributions are summed with their shifts folded in.
 """
@@ -20,9 +21,9 @@ import numpy as np
 from .cpwl import CpwlCurve, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
                    readout_fields, selector_fields)
-from .network import (Layer, ReluNetwork, affine_net, identity_net,
-                      lower_curve_1d, lower_scalar_cpwl, min2_net, net_stats,
-                      passthrough, post_affine, pre_affine, serial, stack_nets)
+from .network import (Layer, ReluNetwork, affine_net, lower_curve_1d,
+                      lower_scalar_cpwl, min2_net, net_stats, passthrough,
+                      post_affine, pre_affine, serial, stack_nets)
 from .planar import lower_planar_field
 from .refinement import RefinementOp, block_transition, transition_norm
 
@@ -114,20 +115,19 @@ def loop_assets(M: int, n: int, rho: float, epsilon: float,
 
 
 def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:
-    """x in [0, 1] -> (h(R^n(x)), x), x carried on a nonnegative channel."""
+    """x in [0, 1] -> (h(R^n(x)), E(x)), E(x) carried on two nonnegative
+    channels."""
     net_h = lower_scalar_cpwl(h.base)
-    # x -> (z, x)
-    start = stack_nets([assets.net_E, passthrough(1, "nonneg", 1)], [[0], [0]], 1)
-    dF = assets.net_F.depth
-    step = stack_nets([assets.net_F, passthrough(1, "nonneg", dF)],
-                      [[0, 1], [2]], 3)
-    chain = [start] + [step] * n
+    # x -> (z, E(x)) with z = E(x)
+    start = post_affine(assets.net_E, np.vstack([np.eye(2)] * 2), np.zeros(4))
+    step = stack_nets([assets.net_F, passthrough(2, "nonneg", assets.net_F.depth)],
+                      [[0, 1], [2, 3]], 4)
     # (h(rho^-(z)), h(rho^+(z)))
     branches = serial(assets.net_rho, stack_nets([net_h, net_h], [[0], [1]], 2))
-    head = stack_nets([branches, passthrough(1, "nonneg", branches.depth)],
-                      [[0, 1], [2]], 3)
-    tail = stack_nets([min2_net(), passthrough(1, "nonneg", 1)], [[0, 1], [2]], 3)
-    return serial(*(chain + [head, tail]))
+    head = stack_nets([branches, passthrough(2, "nonneg", branches.depth)],
+                      [[0, 1], [2, 3]], 4)
+    tail = stack_nets([min2_net(), passthrough(2, "nonneg", 1)], [[0, 1], [2, 3]], 4)
+    return serial(start, *[step] * n, head, tail)
 
 
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
@@ -136,9 +136,10 @@ def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
 
 
 def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetwork:
-    """One selector-gated transition update on state (z, Phi_all).
+    """One selector-gated transition update on state (z, Phi).
 
-    Phi_all holds p*L branch vectors of length p*L each (branch-major).
+    Phi holds p*L branch vectors of length p*L each (branch-major); the
+    gadget of digit q gates all of them with chi_q.
     """
     pL = op.p * op.L
     B = pL * pL
@@ -149,48 +150,38 @@ def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetw
         [passthrough(2, "nonneg", dchi), assets.net_chi,
          passthrough(B, "general", dchi)],
         [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
-    # substage 2: controller step in parallel with M * pL gated products
-    Ts = [block_transition(op, q).T for q in range(M)]
+    # substage 2: controller step in parallel with one gated product per digit
+    gad = product_gadget(a, B)
     parts = [assets.net_F]
-    slices = [[0, 1]]
-    gad = product_gadget(a, pL)
     for q in range(M):
-        for l in range(pL):
-            W = np.zeros((pL + 1, 2 + M + B))
-            W[0, 2 + q] = 1.0
-            W[1:, 2 + M + l * pL:2 + M + (l + 1) * pL] = Ts[q]
-            parts.append(pre_affine(gad, W, np.zeros(pL + 1)))
-            slices.append(list(range(2 + M + B)))
-    sub2 = stack_nets(parts, slices, 2 + M + B)
-    # collect: z' then Phi'_l = sum_q gadget(q, l)
+        W = np.zeros((B + 1, 2 + M + B))
+        W[0, 2 + q] = 1.0
+        W[1:, 2 + M:] = np.kron(np.eye(pL), block_transition(op, q).T)
+        parts.append(pre_affine(gad, W, np.zeros(B + 1)))
+    sub2 = stack_nets(parts, [[0, 1]] + [list(range(2 + M + B))] * M, 2 + M + B)
+    # collect: z' then Phi' = sum_q gadget(q)
     Wc = np.zeros((2 + B, sub2.output_dim))
-    Wc[0, 0] = Wc[1, 1] = 1.0
-    col = 2
-    for q in range(M):
-        for l in range(pL):
-            Wc[2 + l * pL:2 + (l + 1) * pL, col:col + pL] += np.eye(pL)
-            col += pL
-    sub2 = post_affine(sub2, Wc, np.zeros(2 + B))
-    return serial(sub1, sub2)
+    Wc[:2, :2] = np.eye(2)
+    Wc[2:, 2:] = np.hstack([np.eye(B)] * M)
+    return serial(sub1, post_affine(sub2, Wc, np.zeros(2 + B)))
 
 
 def atomic_core_net(op: RefinementOp, h: SpecialHat, cfg: LoopConfig,
                     n: int) -> ReluNetwork:
-    """x in [0, 1] -> all branch vectors Phi^{(l)}_n (p*L * p*L channels)."""
+    """x in [0, 1] -> all branch vectors Phi^{(l)}_n (p*L * p*L channels).
+
+    The first stage reads (z_0, Phi_0) = (E(x), s e_l) linearly from the
+    scalar factor net's output (s, E(x)).
+    """
     assets = loop_assets(op.M, n, cfg.rho, cfg.epsilon, cfg.delta_bar)
     pL = op.p * op.L
     B = pL * pL
     a = gadget_bound(op, h, n)
-    factor = scalar_factor_net(h, assets, n)  # (s, x)
-    # re-embed: (s, x) -> (z, Phi_0) with Phi_0^{(l)} = s e_l
-    reembed = stack_nets([assets.net_E, passthrough(1, "nonneg", 1)], [[1], [0]], 2)
     W = np.zeros((2 + B, 3))
-    W[0, 0] = W[1, 1] = 1.0
-    for l in range(pL):
-        W[2 + l * pL + l, 2] = 1.0
-    reembed = post_affine(reembed, W, np.zeros(2 + B))
-    stage = _recursion_stage(op, assets, a)
-    core = serial(*([factor, reembed] + [stage] * n))
+    W[:2, 1:] = np.eye(2)
+    W[2 + np.arange(pL) * (pL + 1), 0] = 1.0
+    start = post_affine(scalar_factor_net(h, assets, n), W, np.zeros(2 + B))
+    core = serial(start, *[_recursion_stage(op, assets, a)] * n)
     Wsel = np.hstack([np.zeros((B, 2)), np.eye(B)])
     return post_affine(core, Wsel, np.zeros(B))
 
@@ -235,15 +226,13 @@ def glue_blocks(block_nets, p: int, L: int, tol: float = 1e-9) -> ReluNetwork:
     return post_affine(glued, Wsum, bias)
 
 
-def compile_homogeneous(op: RefinementOp, curve: CpwlCurve, n: int,
-                        cfg: LoopConfig = None) -> CompiledIterate:
+def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
+                        n: int) -> CompiledIterate:
     """Compile V^n(curve) into an exact ReLU network on the real line."""
-    cfg = cfg if cfg is not None else LoopConfig(op.M, n)
-    if cfg.M != op.M or cfg.n != n:
-        cfg = LoopConfig(op.M, n, cfg.rho, cfg.epsilon, cfg.delta_bar)
     if n == 0:
         net = lower_curve_1d(curve)
         return CompiledIterate(net, 0, "homogeneous", {"terms": 0})
+    cfg = LoopConfig(op.M, n)
     curve.check_support()
     terms = decompose_atomic(curve, cfg.rho)
     p, L, pL = op.p, op.L, op.p * op.L

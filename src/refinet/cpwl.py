@@ -7,7 +7,7 @@ curves are the special case where both tails are zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,7 +10,7 @@ Three families:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,10 +90,8 @@ def heighway() -> PolygonalInstance:
 
 
 def hilbert_type() -> PolygonalInstance:
-    chain = np.array([[0, 0], [0, 0.5], [0.5, 0.5], [1, 0.5], [1, 0]])
-    H = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    I = 0.5 * np.eye(2)
-    return PolygonalInstance("hilbert_type", chain, (H, I, I, -H))
+    """The planar Hilbert-type generator, which is ``hilbert_rp(2)``."""
+    return replace(hilbert_rp(2), name="hilbert_type")
 
 
 def hilbert_rp(p: int) -> PolygonalInstance:

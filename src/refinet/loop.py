@@ -44,10 +44,6 @@ class LoopConfig:
         """Transition half-width delta_bar * rho * M^-(n+1)."""
         return float(_delta_n_exact(self))
 
-    def transition_intervals(self):
-        d = self.delta_n
-        return [(k / self.M, k / self.M + d) for k in range(self.M)]
-
 
 def _delta_n_exact(cfg: LoopConfig) -> Fraction:
     return Fraction(cfg.delta_bar) * Fraction(cfg.rho) / cfg.M ** (cfg.n + 1)

@@ -101,10 +101,12 @@ class ReluNetwork:
 
         Points are evaluated one column each (y = W @ y), in chunks whose
         widest activation stays within ``_EVAL_BUDGET`` bytes, so memory is
-        bounded for any N.  Input is evaluated in float64, except
-        np.longdouble input, which stays in long double.  Long-double layers
-        run as CSR: numpy has no BLAS for long double, and lowered loop
-        fields are mostly zeros.
+        bounded for any N.  Layers write alternately into two buffers
+        allocated once per call: allocating each activation afresh lets the
+        allocator hand pages back and fault them in again on every layer.
+        Input is evaluated in float64, except np.longdouble input, which
+        stays in long double.  Long-double layers run as CSR: numpy has no
+        BLAS for long double, and lowered loop fields are mostly zeros.
         """
         x = np.asarray(x)
         long = x.dtype == np.longdouble
@@ -120,13 +122,19 @@ class ReluNetwork:
         widest = max(l.weights.shape[0] for l in self.layers)
         chunk = max(1, _EVAL_BUDGET // (x.itemsize * widest))
         out = np.empty((x.shape[0], self.output_dim), dtype=x.dtype)
+        bufs = np.empty((2, widest * min(chunk, x.shape[0])), dtype=x.dtype)
         for s in range(0, x.shape[0], chunk):
             y = x[s:s + chunk].T
-            for W, b, relu in layers:
-                y = W @ y
-                y += b
+            for i, (W, b, relu) in enumerate(layers):
+                buf = bufs[i % 2, :W.shape[0] * y.shape[1]].reshape(W.shape[0], -1)
+                if _issparse(W):
+                    buf[...] = W @ y
+                else:
+                    np.matmul(W, y, out=buf)
+                buf += b
                 if relu:
-                    np.maximum(y, 0.0, out=y)
+                    np.maximum(buf, 0.0, out=buf)
+                y = buf
             out[s:s + chunk] = y.T
         return out[0] if single else out
 

@@ -7,21 +7,20 @@ Stage-dependent forcing:  W_r gamma = V gamma + B_r unrolls to
 
 one homogeneous compile per summand, wired serially with a running
 accumulator.  Anchored profiles Gamma (eventually constant) reduce to a
-compactly supported defect; finite-state systems stack into one block
-operator that commutes with stacking of the state tuple.
+compactly supported defect, with Gamma added to the power-0 job;
+finite-state systems stack into one block operator that commutes with
+stacking of the state tuple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cpwl import (CpwlCurve, ScalarCpwl, SupportError, curve_add,
                    curve_scale, merge_grids, zero_curve)
 from .compiler import CompiledIterate, compile_homogeneous
-from .loop import LoopConfig
-from .network import (ReluNetwork, affine_net, lower_curve_1d, net_stats,
-                      passthrough, post_affine, serial, stack_nets)
+from .network import affine_net, passthrough, post_affine, serial, stack_nets
 from .refinement import RefinementOp, apply_v
 
 
@@ -70,13 +69,11 @@ def expand_stage_iterate(op: RefinementOp, gamma: CpwlCurve,
 
 
 def compile_affine(op: RefinementOp, gamma: CpwlCurve,
-                   schedule: ForcingSchedule, n: int,
-                   cfg: LoopConfig = None) -> CompiledIterate:
+                   schedule: ForcingSchedule, n: int) -> CompiledIterate:
     """Compile the stage-dependent iterate W_{n-1}..W_0 gamma."""
-    cfg = cfg if cfg is not None else LoopConfig(op.M, max(n, 1))
     jobs = expand_stage_iterate(op, gamma, schedule, n)
     p = op.p
-    nets = [compile_homogeneous(op, c, k, cfg).net for c, k in jobs]
+    nets = [compile_homogeneous(op, c, k).net for c, k in jobs]
     # serial accumulation over jobs: state (t, acc)
     cur = affine_net(np.vstack([np.ones((1, 1)), np.zeros((p, 1))]),
                      np.zeros(1 + p))
@@ -118,9 +115,20 @@ def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
     return E, compact
 
 
+def anchor_power0(gamma: CpwlCurve, schedule: ForcingSchedule, n: int,
+                  Gamma: CpwlCurve):
+    """(gamma, schedule) with Gamma added to the power-0 job: to B_{n-1},
+    or to gamma itself when n = 0.  That job is lowered as one hidden layer,
+    so Gamma rides in the accumulator of ``compile_affine``."""
+    if n == 0:
+        return curve_add(gamma, Gamma), schedule
+    curves = [schedule.stage(r) for r in range(n)]
+    curves[-1] = curve_add(curves[-1], Gamma)
+    return gamma, ForcingSchedule(curves=tuple(curves))
+
+
 def compile_anchored(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
-                     eta: CpwlCurve, n: int,
-                     cfg: LoopConfig = None) -> CompiledIterate:
+                     eta: CpwlCurve, n: int) -> CompiledIterate:
     """Evaluator for W^n gamma = Gamma + (V + E)^n eta with gamma = Gamma + eta."""
     E, compact = anchor_mismatch(op, B, Gamma)
     if not compact:
@@ -128,16 +136,8 @@ def compile_anchored(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
             "anchor tails are not fixed points of the tail recursion; "
             "the defect is not compactly supported")
     eta = eta if eta is not None else zero_curve(op.p, op.L)
-    defect = compile_affine(op, eta, constant_schedule(E), n, cfg)
-    return CompiledIterate(add_anchor(defect.net, Gamma), n, "anchored",
-                           {"defect_stats": net_stats(defect.net)})
-
-
-def add_anchor(net: ReluNetwork, Gamma: CpwlCurve) -> ReluNetwork:
-    """t -> net(t) + Gamma(t), the anchor lowered alongside the defect net."""
-    p = net.output_dim
-    both = stack_nets([net, lower_curve_1d(Gamma)], [[0], [0]], 1)
-    return post_affine(both, np.hstack([np.eye(p), np.eye(p)]), np.zeros(p))
+    ci = compile_affine(op, *anchor_power0(eta, constant_schedule(E), n, Gamma), n)
+    return replace(ci, builder="anchored")
 
 
 @dataclass(frozen=True)

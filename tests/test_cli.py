@@ -45,6 +45,13 @@ def test_verify_example(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("stage", ["0", "1"])
+def test_verify_connector_low_stages(stage, capsys):
+    rc = main(["verify", "--example", "hilbert", "--stage", stage, "--tol", "1e-6"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_build_writes_network(spec_file, tmp_path):
     out = tmp_path / "net.json"
     rc = main(["build", "--spec", spec_file, "--mode", "homogeneous",

@@ -8,8 +8,8 @@ from refinet import compiler
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               glue_blocks, loop_assets, product_gadget,
                               scalar_factor_net)
-from refinet.loop import (LoopConfig, build_controller_field, readout_fields,
-                          selector_fields)
+from refinet.loop import (LoopConfig, build_controller_field, embed,
+                          readout_fields, selector_fields)
 from refinet.network import affine_net, lower_scalar_cpwl, post_affine
 from refinet.planar import lower_planar_field
 from refinet.refinement import RefinementOp, apply_v_n, residual_iterate, vectorize
@@ -50,8 +50,8 @@ def test_scalar_factor_net_tracks_residual():
         want = np.array([h.base(np.array([residual_iterate(x, M, n).residuals[-1]]))[0]
                          for x in xs])
         assert np.max(np.abs(out[:, 0] - want)) < 1e-9
-        # the input parameter rides along unchanged
-        assert np.max(np.abs(out[:, 1] - xs)) < 1e-12
+        # E(x) rides along unchanged
+        assert np.max(np.abs(out[:, 1:] - embed(xs).astype(float))) < 1e-12
 
 
 def _clear_compiler_caches():

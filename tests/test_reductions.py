@@ -3,7 +3,7 @@ import pytest
 
 from refinet.cpwl import CpwlCurve, SupportError, curve_add, hat, zero_curve
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
-                             koch, polygonal_oracle, straight_anchor)
+                             heighway, koch, polygonal_oracle, straight_anchor)
 from refinet.reductions import (FiniteStateSystem, ForcingSchedule,
                                 anchor_mismatch, compile_affine,
                                 compile_anchored, constant_schedule,
@@ -83,7 +83,7 @@ def test_anchor_mismatch_detects_bad_tails():
 def test_compile_anchored_koch():
     inst = koch()
     op = inst.op()
-    for n in [1, 2, 3]:
+    for n in [0, 1, 2, 3]:
         ci = compile_anchored(op, None, inst.anchor(), None, n)
         orc = polygonal_oracle(inst, n)
         ts = np.arange(op.M ** n + 1) / op.M ** n
@@ -114,3 +114,26 @@ def test_finite_state_apply_matches_stack():
     ts = np.linspace(0, 1, 400)
     want = np.column_stack([c(ts) for st in nxt for c in st.components])
     assert np.max(np.abs(nxt_stacked(ts) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("inst, n", [(koch(), 3), (heighway(), 4)])
+def test_anchored_no_wider_than_defect(inst, n):
+    # Gamma joins the power-0 job, whose accumulator already carries p channels
+    op = inst.op()
+    E, _ = anchor_mismatch(op, None, inst.anchor())
+    defect = compile_affine(op, zero_curve(op.p, op.L), constant_schedule(E), n)
+    anchored = compile_anchored(op, None, inst.anchor(), None, n)
+    assert anchored.stats["width"] <= defect.stats["width"]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_compile_anchored_gosper_low_stages(n):
+    # n = 0 adds the anchor to eta, n = 1 to the only forcing stage
+    sysm = gosper_system()
+    op, _ = stack_system(sysm)
+    Gamma = stack_curves([straight_anchor((0, 0), (1, 0))] * sysm.r)
+    ci = compile_anchored(op, None, Gamma, None, n)
+    ts = np.sort(np.concatenate([np.linspace(-0.5, 1.5, 401),
+                                 np.arange(op.M ** n + 1) / op.M ** n]))
+    want = stack_curves(gosper_oracle(n))(ts).reshape(len(ts), op.p)
+    assert np.max(np.abs(ci(ts) - want)) < 1e-12

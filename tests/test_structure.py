@@ -1,0 +1,42 @@
+"""Size ceilings of the three benchmark networks.
+
+Depth, width and nonzeros are counted as the benchmark counts them: ReLU
+layers, the widest layer, and the stored entries of CSR layers plus the
+nonzero entries of dense layers.  A change that grows one of these nets
+fails here, before it reaches a benchmark run.
+"""
+import numpy as np
+import pytest
+from scipy import sparse
+
+from refinet import gallery
+from refinet.compiler import compile_homogeneous
+from refinet.cpwl import CpwlCurve, hat
+from refinet.reductions import compile_anchored
+from refinet.refinement import RefinementOp
+
+
+def structure(net):
+    nnz = sum(int(l.weights.nnz) if sparse.issparse(l.weights)
+              else int(np.count_nonzero(l.weights)) for l in net.layers)
+    return net.depth, max(l.weights.shape[0] for l in net.layers), nnz
+
+
+def scalar_deep():
+    op = RefinementOp(2, 1, 1, {0: [[1.0]], 1: [[1.0]]})
+    return compile_homogeneous(op, CpwlCurve((hat(0.25, 0.5, 0.75),), 1), 16)
+
+
+def anchored(name, n):
+    inst = getattr(gallery, name)()
+    return compile_anchored(inst.op(), None, inst.anchor(), None, n)
+
+
+@pytest.mark.parametrize("build, ceiling", [
+    (scalar_deep, (102, 20, 3850)),
+    (lambda: anchored("koch", 3), (31, 186, 9262)),
+    (lambda: anchored("heighway", 8), (211, 96, 36599)),
+], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
+def test_benchmark_nets_within_ceiling(build, ceiling):
+    got = structure(build().net)
+    assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
