@@ -13,8 +13,8 @@ from .planar import PlanarCpwlField, lower_planar_field
 from .loop import LoopConfig, build_controller_field, embed
 from .compiler import (CompiledIterate, atomic_unit_interval_net,
                        compile_homogeneous, glue_blocks, product_gadget)
-from .reductions import (FiniteStateSystem, ForcingSchedule, anchor_mismatch,
-                         compile_affine, compile_anchored,
-                         expand_stage_iterate, iterate_w, stack_system)
+from .reductions import (FiniteStateSystem, anchor_mismatch, compile_affine,
+                         compile_anchored, expand_stage_iterate, iterate_w,
+                         stack_system)
 
 __version__ = "0.1.0"

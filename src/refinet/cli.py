@@ -13,13 +13,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import gallery
-from .cpwl import CpwlCurve, ScalarCpwl, SupportError, hat, zero_curve
+from .cpwl import (RHO, CpwlCurve, ScalarCpwl, SupportError, constant, hat,
+                   zero_curve)
 from .compiler import compile_homogeneous
 from .loop import LoopConfig
 from .network import save_network
-from .reductions import (ForcingSchedule, anchor_power0, compile_affine,
-                         compile_anchored, iterate_w, stack_curves,
-                         stack_system)
+from .reductions import (anchor_power0, compile_affine, compile_anchored,
+                         iterate_w, stack_curves, stack_system)
 from .refinement import RefinementOp, apply_v_n
 
 PARSE_ERROR = 2
@@ -27,86 +27,114 @@ PRECONDITION_ERROR = 3
 
 
 def parse_operator_spec(d: dict):
-    """Operator JSON: {"M","p","L","mask":[{"j","A"}],"forcing"?,"states"?}."""
+    """Operator JSON: {"M","p","L","mask":[{"j","A"}],"forcing"?}.
+
+    Returns (op, forcing): ``forcing`` is None, or the function r -> B_r of
+    the listed curves, the last of which repeats for later stages.
+    """
     try:
         M, p, L = int(d["M"]), int(d["p"]), int(d["L"])
         mask = {int(e["j"]): np.asarray(e["A"], dtype=float) for e in d["mask"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"malformed operator spec: {exc}") from exc
-    op = RefinementOp(M, p, L, mask)
-    forcing = None
-    if "forcing" in d:
         curves = []
-        for entry in d["forcing"]:
+        for entry in d.get("forcing", []):
             pts = np.asarray(entry["curve"], dtype=float)
             comps = tuple(ScalarCpwl(pts[:, 0], pts[:, 1 + i]) for i in range(p))
             curves.append(CpwlCurve(comps, L))
-        forcing = ForcingSchedule(curves=tuple(curves))
-    return op, forcing
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SpecParseError(f"malformed operator spec: {exc}") from exc
+    op = RefinementOp(M, p, L, mask)
+    if not curves:
+        return op, None
+    return op, lambda r: curves[min(r, len(curves) - 1)]
 
 
 class SpecParseError(ValueError):
     pass
 
 
-def _default_gamma(op: RefinementOp, rho: float = 0.25) -> CpwlCurve:
+class ModeError(ValueError):
+    """A --mode that the chosen source does not honour."""
+
+
+def _default_gamma(op: RefinementOp) -> CpwlCurve:
     """Single special hat in the first coordinate on the first cell."""
-    comps = [hat(rho, 0.5, 1 - rho)]
-    from .cpwl import constant
+    comps = [hat(RHO, 0.5, 1 - RHO)]
     comps += [constant(0.0) for _ in range(op.p - 1)]
     return CpwlCurve(tuple(comps), op.L)
 
 
-def _build(args):
-    """Compile the requested stage; returns (CompiledIterate, oracle, op)."""
-    n = args.stage
-    mode = args.mode
+def _spec_forcing(forcing):
+    if forcing is None:
+        raise SupportError("affine mode needs a forcing entry in the spec")
+    return forcing
+
+
+def _connector_compile(op, inst, n):
+    eta = zero_curve(op.p, op.L)
+    ci = compile_affine(op, *anchor_power0(eta, inst.forcing_schedule(), n,
+                                           inst.anchor(n)), n)
+    return replace(ci, builder="stage-anchored")
+
+
+def _stacked_anchor(sysm):
+    return stack_curves([gallery.straight_anchor((0, 0), (1, 0))] * sysm.r)
+
+
+_HOMOGENEOUS = (lambda op, src, n: compile_homogeneous(op, _default_gamma(op), n),
+                lambda op, src, n: apply_v_n(op, _default_gamma(op), n))
+
+# source kind -> {mode: (compile, oracle)}, each called as f(op, src, n)
+MODES = {
+    "spec": {
+        "homogeneous": _HOMOGENEOUS,
+        "affine": (
+            lambda op, forcing, n: compile_affine(
+                op, zero_curve(op.p, op.L), _spec_forcing(forcing), n),
+            lambda op, forcing, n: iterate_w(
+                op, zero_curve(op.p, op.L), _spec_forcing(forcing), n)),
+    },
+    "polygonal": {
+        "homogeneous": _HOMOGENEOUS,
+        "anchored": (
+            lambda op, inst, n: compile_anchored(op, None, inst.anchor(), None, n),
+            lambda op, inst, n: gallery.polygonal_oracle(inst, n)),
+    },
+    "connector": {
+        "anchored": (_connector_compile, lambda op, inst, n: inst.oracle(n)),
+    },
+    "finite-state": {
+        "anchored": (
+            lambda op, sysm, n: compile_anchored(op, None, _stacked_anchor(sysm),
+                                                 None, n),
+            lambda op, sysm, n: stack_curves(gallery.gosper_oracle(n))),
+    },
+}
+
+
+def _source(args):
+    """(kind, op, src): the operator of --spec or --example, and what its
+    modes read besides (the spec's forcing, or the instance)."""
     if args.spec:
         with open(args.spec) as fh:
-            d = json.load(fh)
-        op, forcing = parse_operator_spec(d)
-        if mode == "homogeneous":
-            gamma = _default_gamma(op)
-            ci = compile_homogeneous(op, gamma, n)
-            oracle = apply_v_n(op, gamma, n)
-            return ci, oracle, op
-        if mode == "affine":
-            if forcing is None:
-                raise SupportError("affine mode needs a forcing entry in the spec")
-            sched = ForcingSchedule(curves=tuple(
-                forcing.curves[min(r, len(forcing.curves) - 1)] for r in range(max(n, 1))))
-            gamma = zero_curve(op.p, op.L)
-            ci = compile_affine(op, gamma, sched, n)
-            oracle = iterate_w(op, gamma, sched, n)
-            return ci, oracle, op
-        raise SupportError(f"mode {mode!r} needs a named example")
+            op, forcing = parse_operator_spec(json.load(fh))
+        return "spec", op, forcing
     inst = gallery.get_instance(args.example)
     if isinstance(inst, gallery.PolygonalInstance):
-        op = inst.op()
-        Gamma = inst.anchor()
-        if mode == "homogeneous":
-            gamma = _default_gamma(op)
-            ci = compile_homogeneous(op, gamma, n)
-            oracle = apply_v_n(op, gamma, n)
-            return ci, oracle, op
-        ci = compile_anchored(op, None, Gamma, None, n)
-        oracle = gallery.polygonal_oracle(inst, n)
-        return ci, oracle, op
+        return "polygonal", inst.op(), inst
     if isinstance(inst, gallery.ConnectorInstance):
-        op = inst.op()
-        eta, sched = anchor_power0(zero_curve(op.p, op.L), inst.forcing_schedule(),
-                                   n, inst.anchor(n))
-        ci = replace(compile_affine(op, eta, sched, n), builder="stage-anchored")
-        oracle = inst.oracle(n)
-        return ci, oracle, op
-    # finite-state system: stacked anchored compile
-    sysm = inst
-    op, _ = stack_system(sysm)
-    Gamma = stack_curves([gallery.straight_anchor((0, 0), (1, 0))
-                          for _ in range(sysm.r)])
-    ci = compile_anchored(op, None, Gamma, None, n)
-    oracle = stack_curves(gallery.gosper_oracle(n))
-    return ci, oracle, op
+        return "connector", inst.op(), inst
+    return "finite-state", stack_system(inst), inst
+
+
+def _build(args):
+    """Compile the requested stage; returns (CompiledIterate, oracle, op)."""
+    kind, op, src = _source(args)
+    modes = MODES[kind]
+    if args.mode not in modes:
+        raise ModeError(f"a {kind} source honours --mode {' or '.join(modes)}, "
+                        f"not {args.mode!r}")
+    compile_, oracle = modes[args.mode]
+    return compile_(op, src, args.stage), oracle(op, src, args.stage), op
 
 
 def _verify_grid(op_M: int, n: int, L: int, g: int):
@@ -233,7 +261,8 @@ def main(argv=None):
         ap.error("need --spec or --example")
     try:
         return args.fn(args)
-    except (SpecParseError, KeyError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (SpecParseError, ModeError, KeyError, json.JSONDecodeError,
+            FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except (SupportError, ValueError) as exc:

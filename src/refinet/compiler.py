@@ -99,19 +99,17 @@ def _controller_net(M: int) -> ReluNetwork:
 
 
 @lru_cache(maxsize=None)
-def _readout_net(M: int, epsilon: float) -> ReluNetwork:
-    return lower_planar_field(*readout_fields(M, epsilon))
+def _readout_net(M: int) -> ReluNetwork:
+    return lower_planar_field(*readout_fields(M))
 
 
 @lru_cache(maxsize=None)
-def loop_assets(M: int, n: int, rho: float, epsilon: float,
-                delta_bar: float) -> LoopAssets:
+def loop_assets(M: int, n: int) -> LoopAssets:
     """Each field is lowered once per value of what it depends on: the
-    embedding on nothing, the controller on M, the readouts on (M, eps),
-    and only the selectors on the whole config."""
-    cfg = LoopConfig(M, n, rho, epsilon, delta_bar)
-    return LoopAssets(_embed_net(), _controller_net(M), _readout_net(M, epsilon),
-                      lower_planar_field(*selector_fields(cfg)))
+    embedding on nothing, the controller and the readouts on M, and only
+    the selectors on (M, n)."""
+    return LoopAssets(_embed_net(), _controller_net(M), _readout_net(M),
+                      lower_planar_field(*selector_fields(LoopConfig(M, n))))
 
 
 def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:
@@ -166,14 +164,13 @@ def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetw
     return serial(sub1, post_affine(sub2, Wc, np.zeros(2 + B)))
 
 
-def atomic_core_net(op: RefinementOp, h: SpecialHat, cfg: LoopConfig,
-                    n: int) -> ReluNetwork:
+def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
     """x in [0, 1] -> all branch vectors Phi^{(l)}_n (p*L * p*L channels).
 
     The first stage reads (z_0, Phi_0) = (E(x), s e_l) linearly from the
     scalar factor net's output (s, E(x)).
     """
-    assets = loop_assets(op.M, n, cfg.rho, cfg.epsilon, cfg.delta_bar)
+    assets = loop_assets(op.M, n)
     pL = op.p * op.L
     B = pL * pL
     a = gadget_bound(op, h, n)
@@ -187,9 +184,9 @@ def atomic_core_net(op: RefinementOp, h: SpecialHat, cfg: LoopConfig,
 
 
 def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
-                             cfg: LoopConfig, n: int) -> ReluNetwork:
+                             n: int) -> ReluNetwork:
     """Exact net for G_n of the atomic curve h e_mu on the unit cell."""
-    core = atomic_core_net(op, h, cfg, n)
+    core = atomic_core_net(op, h, n)
     pL = op.p * op.L
     W = np.zeros((pL, pL * pL))
     for l in range(pL):
@@ -232,9 +229,8 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
     if n == 0:
         net = lower_curve_1d(curve)
         return CompiledIterate(net, 0, "homogeneous", {"terms": 0})
-    cfg = LoopConfig(op.M, n)
     curve.check_support()
-    terms = decompose_atomic(curve, cfg.rho)
+    terms = decompose_atomic(curve)
     p, L, pL = op.p, op.L, op.p * op.L
     if not terms:
         net = affine_net(np.zeros((p, 1)), np.zeros(p))
@@ -246,7 +242,7 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
     scale = float(op.M) ** (-n)
     group_nets = []
     for (shift, _, _), ts in groups.items():
-        core = atomic_core_net(op, ts[0].hat, cfg, n)
+        core = atomic_core_net(op, ts[0].hat, n)
         blocks = []
         for k in range(L):
             Wk = np.zeros((p, pL * pL))

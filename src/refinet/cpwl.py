@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MERGE_TOL = 1e-12
+RHO = 0.25  # special hats live inside [RHO, 1 - RHO]
 
 
 class SupportError(ValueError):
@@ -137,21 +138,18 @@ def translate_scale(f: ScalarCpwl, delta: float, s: float) -> ScalarCpwl:
 
 @dataclass(frozen=True)
 class SpecialHat:
-    """Nonnegative CPwL bump supported inside [rho, 1 - rho]."""
+    """Nonnegative CPwL bump supported inside [RHO, 1 - RHO]."""
 
     base: ScalarCpwl
-    rho: float = 0.25
 
     def __post_init__(self):
         b = self.base
-        if not (0 < self.rho < 0.5):
-            raise ValueError("rho must lie in (0, 1/2)")
         if np.any(b.vs < -MERGE_TOL):
             raise ValueError("special hat must be nonnegative")
         if b.left_tail != 0.0 or b.right_tail != 0.0:
             raise SupportError("special hat must vanish outside its breakpoints")
-        if b.ts[0] < self.rho - MERGE_TOL or b.ts[-1] > 1 - self.rho + MERGE_TOL:
-            raise SupportError("special hat support must lie in [rho, 1-rho]")
+        if b.ts[0] < RHO - MERGE_TOL or b.ts[-1] > 1 - RHO + MERGE_TOL:
+            raise SupportError("special hat support must lie in [RHO, 1-RHO]")
 
     def __call__(self, t):
         return self.base(t)
@@ -196,12 +194,6 @@ class CpwlCurve:
             if lo < -tol or hi > self.L + tol:
                 raise SupportError(
                     f"support [{lo}, {hi}] exceeds window [0, {self.L}]")
-
-    def left_tails(self) -> np.ndarray:
-        return np.array([c.left_tail for c in self.components])
-
-    def right_tails(self) -> np.ndarray:
-        return np.array([c.right_tail for c in self.components])
 
     def max_abs(self) -> float:
         return max(c.max_abs() for c in self.components)
@@ -250,11 +242,11 @@ class AtomicTerm:
         return out
 
 
-def decompose_atomic(curve: CpwlCurve, rho: float = 0.25) -> list:
+def decompose_atomic(curve: CpwlCurve) -> list:
     """Write a compactly supported curve as a sum of shifted special hats.
 
     The shared breakpoint grid is refined by midpoint insertion until every
-    nodal hat fits (after recentring at 1/2) inside [rho, 1 - rho]; each
+    nodal hat fits (after recentring at 1/2) inside [RHO, 1 - RHO]; each
     interior node then contributes one term per coordinate with a nonzero
     nodal value.
     """
@@ -262,7 +254,7 @@ def decompose_atomic(curve: CpwlCurve, rho: float = 0.25) -> list:
     grid = merge_grids(*[c.ts for c in curve.components])
     if grid.size < 2:
         return []
-    max_len = 0.5 - rho
+    max_len = 0.5 - RHO
     while True:
         gaps = np.diff(grid)
         bad = gaps > max_len + MERGE_TOL
@@ -281,7 +273,7 @@ def decompose_atomic(curve: CpwlCurve, rho: float = 0.25) -> list:
                 continue
             if h is None:
                 base = hat(grid[i - 1] - delta, 0.5, grid[i + 1] - delta)
-                h = SpecialHat(base, rho)
+                h = SpecialHat(base)
             terms.append(AtomicTerm(float(a), float(delta), h, mu))
     return terms
 

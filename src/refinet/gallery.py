@@ -10,12 +10,13 @@ Three families:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cpwl import CpwlCurve, ScalarCpwl, curve_add, curve_scale, merge_grids
-from .reductions import FiniteStateSystem, ForcingSchedule
+from .reductions import FiniteStateSystem
 from .refinement import RefinementOp
 
 
@@ -261,10 +262,10 @@ class ConnectorInstance:
         B0 = curve_add(curve_scale(Bn1, 2.0), curve_scale(Bn0, -1.0))
         return B0, B1
 
-    def forcing_schedule(self) -> ForcingSchedule:
+    def forcing_schedule(self):
+        """The forcing r -> B_r = B0 + 2^-r B1."""
         B0, B1 = self.forcing_templates()
-        return ForcingSchedule(templates=(B0, B1),
-                               coeffs=lambda r: np.array([1.0, 2.0 ** (-r)]))
+        return lambda r: curve_add(B0, curve_scale(B1, 2.0 ** -r))
 
     def oracle(self, n: int) -> CpwlCurve:
         """Stage-n geometric curve by direct copy/connector recursion."""
@@ -320,28 +321,20 @@ def morton_instance(p: int) -> ConnectorInstance:
     return ConnectorInstance(f"morton{p}", A, u, a_t, b_t)
 
 
-NAMED_INSTANCES = ("koch", "levy", "heighway", "hilbert_type", "hilbert",
-                   "gosper", "morton", "hilbert_rp")
+_FIXED = {"koch": koch, "levy": levy, "heighway": heighway,
+          "hilbert_type": hilbert_type, "hilbert": hilbert_connector,
+          "gosper": gosper_system}
+_FAMILIES = {"morton": morton_instance, "hilbert_rp": hilbert_rp}
+NAMED_INSTANCES = (*_FIXED, *_FAMILIES)
 
 
 def get_instance(name: str):
+    """A named instance; ``morton<p>`` and ``hilbert_rp<p>`` take an
+    optional dimension p (default 2)."""
     name = name.lower()
-    if name == "koch":
-        return koch()
-    if name == "levy":
-        return levy()
-    if name == "heighway":
-        return heighway()
-    if name == "hilbert_type":
-        return hilbert_type()
-    if name == "hilbert":
-        return hilbert_connector()
-    if name == "gosper":
-        return gosper_system()
-    if name.startswith("morton"):
-        p = int(name[6:]) if len(name) > 6 else 2
-        return morton_instance(p)
-    if name.startswith("hilbert_rp"):
-        p = int(name[10:]) if len(name) > 10 else 2
-        return hilbert_rp(p)
-    raise KeyError(f"unknown instance {name!r}")
+    if name in _FIXED:
+        return _FIXED[name]()
+    m = re.fullmatch(r"(morton|hilbert_rp)(\d*)", name)
+    if m is None:
+        raise KeyError(f"unknown instance {name!r}")
+    return _FAMILIES[m[1]](int(m[2] or 2))

@@ -15,38 +15,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cpwl import CpwlCurve, ScalarCpwl, cpwl_combine, merge_grids
+from .cpwl import RHO, CpwlCurve, ScalarCpwl, cpwl_combine, merge_grids
 from .planar import PlanarCpwlField, fan_field
+
+
+EPSILON = 0.125  # the readouts' knee: r^- returns to 0 on [1 - eps, 1]
+DELTA_BAR = 0.5  # selector transition half-width in units of RHO * M^-(n+1)
 
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Geometry parameters of the controller and its readouts/selectors."""
+    """The stage a controller's selectors are built for."""
 
     M: int
     n: int
-    rho: float = 0.25
-    epsilon: float = 0.125
-    delta_bar: float = 0.5
 
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("M must be >= 2")
-        if not (0 < self.rho < 0.5):
-            raise ValueError("rho must lie in (0, 1/2)")
-        if not (0 < self.epsilon < self.rho):
-            raise ValueError("epsilon must lie in (0, rho)")
-        if not (0 < self.delta_bar <= 1):
-            raise ValueError("delta_bar must lie in (0, 1]")
 
     @property
     def delta_n(self) -> float:
-        """Transition half-width delta_bar * rho * M^-(n+1)."""
+        """Transition half-width DELTA_BAR * RHO * M^-(n+1)."""
         return float(_delta_n_exact(self))
 
 
 def _delta_n_exact(cfg: LoopConfig) -> Fraction:
-    return Fraction(cfg.delta_bar) * Fraction(cfg.rho) / cfg.M ** (cfg.n + 1)
+    return Fraction(DELTA_BAR) * Fraction(RHO) / cfg.M ** (cfg.n + 1)
 
 
 def embed(t):
@@ -179,16 +174,16 @@ def readout_plus(epsilon: float) -> ScalarCpwl:
     return _knots_cpwl(_plus_knots(epsilon))
 
 
-def readout_fields(M: int, epsilon: float):
-    """Planar fields rho^-/rho^+ with rho^±(E(t)) = r^±(t)."""
-    knots = [_minus_knots(epsilon), _plus_knots(epsilon)]
+def readout_fields(M: int):
+    """Planar fields rho^-/rho^+ with rho^±(E(t)) = r^±(t), eps = EPSILON."""
+    knots = [_minus_knots(EPSILON), _plus_knots(EPSILON)]
     params = _loop_params(M, [t for k in knots for t, _ in k])
     fm, fp = _loop_fans(params, [_knots_at(k, params) for k in knots])
     return fm, fp
 
 
 def min_readout_scalar(h: ScalarCpwl, epsilon: float) -> ScalarCpwl:
-    """min(h(r^-(t)), h(r^+(t))), equal to h on [0, 1] when eps < rho."""
+    """min(h(r^-(t)), h(r^+(t))), equal to h on [0, 1] when eps < RHO."""
     hm = _compose_scalar(h, readout_minus(epsilon))
     hp = _compose_scalar(h, readout_plus(epsilon))
     return cpwl_combine(hm, hp, "min")

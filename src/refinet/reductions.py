@@ -1,7 +1,8 @@
 """Reductions of inhomogeneous / anchored / finite-state recursions to the
 homogeneous compiler.
 
-Stage-dependent forcing:  W_r gamma = V gamma + B_r unrolls to
+Stage-dependent forcing is a function ``forcing(r) -> B_r``; the stage map
+W_r gamma = V gamma + B_r unrolls to
 
     W_{n-1} .. W_0 gamma = V^n gamma + sum_r V^{n-1-r} B_r,
 
@@ -24,54 +25,25 @@ from .network import affine_net, passthrough, post_affine, serial, stack_nets
 from .refinement import RefinementOp, apply_v
 
 
-@dataclass(frozen=True)
-class ForcingSchedule:
-    """Per-stage forcing curves B_0, B_1, ...
-
-    Either an explicit list of curves, or a template pair/list with
-    stage-dependent coefficients (curve_r = sum_a coeffs(r)[a] * template_a).
-    """
-
-    curves: tuple = None
-    templates: tuple = None
-    coeffs: object = None  # callable stage -> array
-
-    def stage(self, r: int) -> CpwlCurve:
-        if self.curves is not None:
-            return self.curves[r]
-        lam = np.asarray(self.coeffs(r), dtype=float)
-        out = curve_scale(self.templates[0], lam[0])
-        for a in range(1, len(self.templates)):
-            out = curve_add(out, curve_scale(self.templates[a], lam[a]))
-        return out
-
-
-def constant_schedule(B: CpwlCurve) -> ForcingSchedule:
-    return ForcingSchedule(templates=(B,), coeffs=lambda r: np.array([1.0]))
-
-
-def iterate_w(op: RefinementOp, gamma: CpwlCurve, schedule: ForcingSchedule,
-              n: int) -> CpwlCurve:
-    """Direct oracle: gamma_{r+1} = V gamma_r + B_r."""
+def iterate_w(op: RefinementOp, gamma: CpwlCurve, forcing, n: int) -> CpwlCurve:
+    """Direct oracle: gamma_{r+1} = V gamma_r + B_r, with B_r = forcing(r)."""
     cur = gamma
     for r in range(n):
-        cur = curve_add(apply_v(op, cur), schedule.stage(r))
+        cur = curve_add(apply_v(op, cur), forcing(r))
     return cur
 
 
-def expand_stage_iterate(op: RefinementOp, gamma: CpwlCurve,
-                         schedule: ForcingSchedule, n: int) -> list:
+def expand_stage_iterate(op: RefinementOp, gamma: CpwlCurve, forcing,
+                         n: int) -> list:
     """Homogeneous jobs [(curve, power)] whose V-powers sum to the iterate."""
-    jobs = [(gamma, n)]
-    for r in range(n):
-        jobs.append((schedule.stage(r), n - 1 - r))
-    return jobs
+    return [(gamma, n)] + [(forcing(r), n - 1 - r) for r in range(n)]
 
 
-def compile_affine(op: RefinementOp, gamma: CpwlCurve,
-                   schedule: ForcingSchedule, n: int) -> CompiledIterate:
-    """Compile the stage-dependent iterate W_{n-1}..W_0 gamma."""
-    jobs = expand_stage_iterate(op, gamma, schedule, n)
+def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
+                   n: int) -> CompiledIterate:
+    """Compile the stage-dependent iterate W_{n-1}..W_0 gamma, where
+    ``forcing(r)`` is the curve B_r."""
+    jobs = expand_stage_iterate(op, gamma, forcing, n)
     p = op.p
     nets = [compile_homogeneous(op, c, k).net for c, k in jobs]
     # serial accumulation over jobs: state (t, acc)
@@ -115,16 +87,14 @@ def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
     return E, compact
 
 
-def anchor_power0(gamma: CpwlCurve, schedule: ForcingSchedule, n: int,
-                  Gamma: CpwlCurve):
-    """(gamma, schedule) with Gamma added to the power-0 job: to B_{n-1},
+def anchor_power0(gamma: CpwlCurve, forcing, n: int, Gamma: CpwlCurve):
+    """(gamma, forcing) with Gamma added to the power-0 job: to B_{n-1},
     or to gamma itself when n = 0.  That job is lowered as one hidden layer,
     so Gamma rides in the accumulator of ``compile_affine``."""
     if n == 0:
-        return curve_add(gamma, Gamma), schedule
-    curves = [schedule.stage(r) for r in range(n)]
-    curves[-1] = curve_add(curves[-1], Gamma)
-    return gamma, ForcingSchedule(curves=tuple(curves))
+        return curve_add(gamma, Gamma), forcing
+    return gamma, lambda r: (curve_add(forcing(r), Gamma) if r == n - 1
+                             else forcing(r))
 
 
 def compile_anchored(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
@@ -136,7 +106,7 @@ def compile_anchored(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
             "anchor tails are not fixed points of the tail recursion; "
             "the defect is not compactly supported")
     eta = eta if eta is not None else zero_curve(op.p, op.L)
-    ci = compile_affine(op, *anchor_power0(eta, constant_schedule(E), n, Gamma), n)
+    ci = compile_affine(op, *anchor_power0(eta, lambda r: E, n, Gamma), n)
     return replace(ci, builder="anchored")
 
 
@@ -145,8 +115,7 @@ class FiniteStateSystem:
     """Deterministic finite-state refinement system.
 
     State a picks, for digit j, a matrix C[a, j] and successor state
-    transitions[a, j]:  (V Gamma)_a(t) = sum_j C[a,j] Gamma_{sigma(a,j)}(M t - j)
-    plus optional per-state forcing B_a.
+    transitions[a, j]:  (V Gamma)_a(t) = sum_j C[a,j] Gamma_{sigma(a,j)}(M t - j).
     """
 
     p: int
@@ -154,7 +123,6 @@ class FiniteStateSystem:
     L: int
     transitions: np.ndarray  # (r, M) int
     C: np.ndarray            # (r, M, p, p)
-    forcing: tuple = None    # per-state CpwlCurve or None
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=int))
@@ -178,11 +146,8 @@ class FiniteStateSystem:
             for j in range(self.M):
                 g = curves[self.transitions[a, j]]
                 vals += g(self.M * ts - j) @ self.C[a, j].T
-            cur = CpwlCurve(tuple(ScalarCpwl(ts, vals[:, i]) for i in range(self.p)),
-                            curves[a].L)
-            if self.forcing is not None and self.forcing[a] is not None:
-                cur = curve_add(cur, self.forcing[a])
-            out.append(cur)
+            out.append(CpwlCurve(tuple(ScalarCpwl(ts, vals[:, i])
+                                       for i in range(self.p)), curves[a].L))
         return out
 
 
@@ -193,12 +158,9 @@ def stack_curves(curves: list) -> CpwlCurve:
     return CpwlCurve(tuple(comps), curves[0].L)
 
 
-def stack_system(sys: FiniteStateSystem):
-    """Block operator on p*r components equivalent to the state system.
-
-    Returns (RefinementOp, stacked forcing CpwlCurve or None); applying the
-    stacked operator to stacked curves commutes with per-state recursion.
-    """
+def stack_system(sys: FiniteStateSystem) -> RefinementOp:
+    """Block operator on p*r components equivalent to the state system:
+    applying it to stacked curves commutes with per-state recursion."""
     r, p, M = sys.r, sys.p, sys.M
     mask = {}
     for j in range(M):
@@ -208,8 +170,4 @@ def stack_system(sys: FiniteStateSystem):
             A[a * p:(a + 1) * p, b * p:(b + 1) * p] = sys.C[a, j]
         if np.any(A):
             mask[j] = A
-    op = RefinementOp(M, p * r, sys.L, mask)
-    forcing = None
-    if sys.forcing is not None:
-        forcing = stack_curves(list(sys.forcing))
-    return op, forcing
+    return RefinementOp(M, p * r, sys.L, mask)

@@ -7,20 +7,18 @@ own references.
 import time
 
 import numpy as np
-import pytest
 
-from refinet.cpwl import CpwlCurve, SpecialHat, curve_add, hat, zero_curve
+from refinet.cpwl import CpwlCurve, curve_add, hat, zero_curve
 from refinet.compiler import compile_homogeneous, product_gadget
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
                              heighway, hilbert_connector, hilbert_rp, koch,
                              polygonal_oracle)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
                           readout_minus, readout_plus, selector_fields)
-from refinet.network import lower_scalar_cpwl
 from refinet.planar import lower_planar_field
-from refinet.reductions import (ForcingSchedule, compile_affine,
-                                compile_anchored, expand_stage_iterate,
-                                iterate_w, stack_curves, stack_system)
+from refinet.reductions import (compile_affine, compile_anchored,
+                                expand_stage_iterate, iterate_w, stack_curves,
+                                stack_system)
 from refinet.refinement import (RefinementOp, apply_v, apply_v_n, cascade_eval,
                                 residual_iterate, vectorize)
 
@@ -185,7 +183,7 @@ def _affine_setup():
     gam = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
     Bs = tuple(CpwlCurve((hat(0.25, 0.4 + 0.05 * r, 0.75,
                               height=0.3 + 0.1 * r),), 1) for r in range(6))
-    return op, gam, ForcingSchedule(curves=Bs)
+    return op, gam, lambda r: Bs[r]
 
 
 def test_criterion_09_stage_dependent_expansion():
@@ -238,7 +236,7 @@ def test_criterion_10_anchored_geometry():
 
 def test_criterion_11_finite_state_gosper():
     sysm = gosper_system()
-    op, _ = stack_system(sysm)
+    op = stack_system(sysm)
     e = np.ones(2)
     row_err = max(float(np.max(np.abs(sum(sysm.C[a, j] @ e for j in range(7)) - e)))
                   for a in range(2))
@@ -267,7 +265,7 @@ def test_criterion_12_connector_hilbert():
     force_err = 0.0
     for n in [0, 1, 2]:
         force_err = max(force_err, float(np.max(np.abs(
-            hc.forcing_stage(n)(ts) - sched.stage(n)(ts)))))
+            hc.forcing_stage(n)(ts) - sched(n)(ts)))))
     ok = end_err == 0.0 and force_err <= 1e-10
     report(12, "connector Hilbert endpoints/templates", ok,
            f"endpoint err={end_err:.3e} (exact), template err={force_err:.3e} tol=1e-10")

@@ -11,11 +11,22 @@ SPEC = {"M": 2, "p": 1, "L": 1,
         "mask": [{"j": 0, "A": [[1.0]]}, {"j": 1, "A": [[1.0]]}]}
 
 
+# M=2 contraction with two forcing curves; the second repeats from stage 1 on
+FORCED_SPEC = {"M": 2, "p": 1, "L": 1,
+               "mask": [{"j": 0, "A": [[0.6]]}, {"j": 1, "A": [[0.7]]}],
+               "forcing": [{"curve": [[0.25, 0.0], [0.5, 0.3], [0.75, 0.0]]},
+                           {"curve": [[0.25, 0.0], [0.4, 0.5], [0.75, 0.0]]}]}
+
+
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 @pytest.fixture
 def spec_file(tmp_path):
-    path = tmp_path / "op.json"
-    path.write_text(json.dumps(SPEC))
-    return str(path)
+    return _write_spec(tmp_path, SPEC)
 
 
 def test_parse_operator_spec():
@@ -24,6 +35,43 @@ def test_parse_operator_spec():
     assert forcing is None
     with pytest.raises(SpecParseError):
         parse_operator_spec({"M": 2})
+
+
+def test_spec_forcing_repeats_last_curve():
+    _, forcing = parse_operator_spec(FORCED_SPEC)
+    ts = np.linspace(0, 1, 101)
+    peaks = [ts[np.argmax(forcing(r)(ts)[:, 0])] for r in range(4)]
+    assert peaks == [0.5, 0.4, 0.4, 0.4]
+
+
+def test_malformed_forcing_is_parse_error():
+    with pytest.raises(SpecParseError):
+        parse_operator_spec({**SPEC, "forcing": [{"curve": [0.5, 1.0]}]})
+
+
+@pytest.mark.parametrize("stage", ["0", "1", "2", "3"])
+def test_verify_spec_affine_forcing(tmp_path, stage, capsys):
+    spec = _write_spec(tmp_path, FORCED_SPEC)
+    rc = main(["verify", "--spec", spec, "--mode", "affine", "--stage", stage,
+               "--tol", "1e-10"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("example, mode, honoured", [
+    ("hilbert", "homogeneous", "anchored"),
+    ("koch", "affine", "homogeneous or anchored"),
+    ("gosper", "homogeneous", "anchored"),
+    (None, "anchored", "homogeneous or affine"),     # the --spec source
+], ids=["hilbert-homogeneous", "koch-affine", "gosper-homogeneous",
+        "spec-anchored"])
+def test_unhonoured_mode_is_parse_error(spec_file, tmp_path, example, mode,
+                                        honoured, capsys):
+    source = ["--example", example] if example else ["--spec", spec_file]
+    rc = main(["build", *source, "--mode", mode, "--stage", "1",
+               "--out", str(tmp_path / "net.json")])
+    assert rc == 2
+    assert f"honours --mode {honoured}" in capsys.readouterr().err
 
 
 def test_verify_spec_passes(spec_file, capsys):
@@ -91,6 +139,11 @@ def test_bad_spec_is_parse_error(tmp_path, capsys):
 
 def test_unknown_example_is_parse_error(capsys):
     rc = main(["verify", "--example", "nosuch"])
+    assert rc == 2
+
+
+def test_malformed_family_dimension_is_parse_error(capsys):
+    rc = main(["verify", "--example", "mortonx"])
     assert rc == 2
 
 

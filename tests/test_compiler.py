@@ -10,7 +10,7 @@ from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
                           readout_fields, selector_fields)
-from refinet.network import affine_net, lower_scalar_cpwl, post_affine
+from refinet.network import affine_net
 from refinet.planar import lower_planar_field
 from refinet.refinement import RefinementOp, apply_v_n, residual_iterate, vectorize
 
@@ -42,7 +42,7 @@ def test_product_gadget_needs_positive_bound():
 def test_scalar_factor_net_tracks_residual():
     h = SpecialHat(hat(0.3, 0.5, 0.7))
     for M, n in [(2, 3), (3, 2)]:
-        assets = loop_assets(M, n, 0.25, 0.125, 0.5)
+        assets = loop_assets(M, n)
         net = scalar_factor_net(h, assets, n)
         rng = np.random.default_rng(M)
         xs = rng.uniform(0, 1, 200)
@@ -67,7 +67,7 @@ def _same_net(a, b):
 
 
 def test_loop_assets_lower_shared_fields_once():
-    M, rho, eps, dbar = 2, 0.25, 0.125, 0.5
+    M = 2
     calls = {"F": 0, "readout": 0, "chi": 0}
 
     def counting(key, f):
@@ -82,24 +82,23 @@ def test_loop_assets_lower_shared_fields_once():
                 compiler, build_controller_field=counting("F", build_controller_field),
                 readout_fields=counting("readout", readout_fields),
                 selector_fields=counting("chi", selector_fields)):
-            sweep = [loop_assets(M, n, rho, eps, dbar) for n in range(1, 17)]
+            sweep = [loop_assets(M, n) for n in range(1, 17)]
     finally:
         _clear_compiler_caches()
     assert calls == {"F": 1, "readout": 1, "chi": 16}
     # the shared fields are the ones a direct lowering gives
-    rho_net = lower_planar_field(*readout_fields(M, eps))
+    rho_net = lower_planar_field(*readout_fields(M))
     for n, a in enumerate(sweep, start=1):
         assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
         assert _same_net(a.net_rho, rho_net)
-        chis = selector_fields(LoopConfig(M, n, rho, eps, dbar))
+        chis = selector_fields(LoopConfig(M, n))
         assert _same_net(a.net_chi, lower_planar_field(*chis))
 
 
 def test_atomic_unit_interval_net():
     op = scalar_op()
     h = SpecialHat(hat(0.25, 0.5, 0.75))
-    cfg = LoopConfig(2, 2)
-    net = atomic_unit_interval_net(op, h, 0, cfg, 2)
+    net = atomic_unit_interval_net(op, h, 0, 2)
     curve = CpwlCurve((h.base,), 1)
     G2 = vectorize(apply_v_n(op, curve, 2))
     xs = np.linspace(0, 1, 501)

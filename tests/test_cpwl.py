@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refinet.cpwl import (AtomicTerm, CpwlCurve, ScalarCpwl, SpecialHat,
+from refinet.cpwl import (CpwlCurve, ScalarCpwl, SpecialHat,
                           SupportError, constant, cpwl_combine,
                           decompose_atomic, from_breakpoints, hat,
                           merge_grids, reconstruct_atomic, translate_scale,
@@ -66,11 +66,11 @@ def test_merge_grids_dedupes():
 
 
 def test_special_hat_validation():
-    SpecialHat(hat(0.3, 0.5, 0.7), rho=0.25)
+    SpecialHat(hat(0.3, 0.5, 0.7))
     with pytest.raises(ValueError):
-        SpecialHat(hat(0.1, 0.5, 0.7), rho=0.25)   # support leaks left
+        SpecialHat(hat(0.1, 0.5, 0.7))   # support leaks left
     with pytest.raises(ValueError):
-        SpecialHat(hat(0.3, 0.5, 0.7, height=-1.0), rho=0.25)  # negative
+        SpecialHat(hat(0.3, 0.5, 0.7, height=-1.0))  # negative
 
 
 def test_curve_support_check():
@@ -96,7 +96,7 @@ def test_atomic_decomposition_reconstructs():
             vs = np.concatenate([[0.0], rng.normal(size=5), [0.0]])
             comps.append(ScalarCpwl(ts, vs))
         curve = CpwlCurve(tuple(comps), 1)
-        terms = decompose_atomic(curve, 0.25)
+        terms = decompose_atomic(curve)
         ev = reconstruct_atomic(terms, p)
         ts = np.linspace(-0.5, 1.5, 700)
         err = np.max(np.abs(ev(ts) - curve(ts)))
@@ -105,7 +105,7 @@ def test_atomic_decomposition_reconstructs():
 
 def test_atomic_hats_are_special():
     curve = CpwlCurve((hat(0.25, 0.5, 0.75), constant(0.0)), 1)
-    terms = decompose_atomic(curve, 0.25)
+    terms = decompose_atomic(curve)
     assert terms
     for t in terms:
         assert isinstance(t.hat, SpecialHat)
@@ -114,4 +114,4 @@ def test_atomic_hats_are_special():
 
 
 def test_atomic_zero_curve_has_no_terms():
-    assert decompose_atomic(zero_curve(1, 1), 0.25) == []
+    assert decompose_atomic(zero_curve(1, 1)) == []

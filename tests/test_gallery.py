@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from refinet import gallery
 from refinet.gallery import (NAMED_INSTANCES, get_instance, gosper_oracle,
                              gosper_system, heighway, hilbert_connector,
                              hilbert_rp, hilbert_type, koch, levy,
@@ -90,7 +89,7 @@ def test_hilbert_connector_forcing_templates():
     ts = np.linspace(0, L, 1000)
     for n in [0, 1, 2]:
         direct = hc.forcing_stage(n)
-        templ = sched.stage(n)
+        templ = sched(n)
         assert np.max(np.abs(direct(ts) - templ(ts))) < 1e-10
 
 
@@ -120,3 +119,5 @@ def test_named_instances_resolve():
         assert get_instance(name) is not None
     with pytest.raises(KeyError):
         get_instance("nope")
+    with pytest.raises(KeyError):
+        get_instance("mortonx")

@@ -165,9 +165,5 @@ def test_selector_fields_match_scalars():
 def test_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(1, 2)
-    with pytest.raises(ValueError):
-        LoopConfig(2, 2, rho=0.6)
-    with pytest.raises(ValueError):
-        LoopConfig(2, 2, epsilon=0.3)   # epsilon must stay below rho
     cfg = LoopConfig(2, 3)
     assert cfg.delta_n == pytest.approx(0.5 * 0.25 * 2.0 ** -4)

@@ -162,7 +162,7 @@ def test_csr_layers_store_no_zeros():
     wide = stack_nets([serial(base, passthrough(1, "general", 2))] * 100,
                       [[0]] * 100, 1)
     # gosper stacked n=2, the compiled net whose wide layers are CSR
-    op, _ = stack_system(gallery.gosper_system())
+    op = stack_system(gallery.gosper_system())
     anchor = stack_curves([gallery.straight_anchor((0, 0), (1, 0))] * 2)
     gosper = compile_anchored(op, None, anchor, None, 2).net
     for net in [wide, gosper]:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from refinet.loop import embed
-from refinet.planar import PlanarCpwlField, fan_field, lower_planar_field
-from refinet.network import net_stats
+from refinet.planar import fan_field, lower_planar_field
 
 
 def sample_fan_points(rng, field, n):

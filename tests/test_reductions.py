@@ -4,11 +4,9 @@ import pytest
 from refinet.cpwl import CpwlCurve, SupportError, curve_add, hat, zero_curve
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
                              heighway, koch, polygonal_oracle, straight_anchor)
-from refinet.reductions import (FiniteStateSystem, ForcingSchedule,
-                                anchor_mismatch, compile_affine,
-                                compile_anchored, constant_schedule,
-                                expand_stage_iterate, iterate_w, stack_curves,
-                                stack_system)
+from refinet.reductions import (anchor_mismatch, compile_affine,
+                                compile_anchored, expand_stage_iterate,
+                                iterate_w, stack_curves, stack_system)
 from refinet.refinement import RefinementOp, apply_v, apply_v_n
 
 
@@ -17,18 +15,7 @@ def scalar_setup():
     gam = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
     Bs = tuple(CpwlCurve((hat(0.25, 0.4 + 0.05 * r, 0.75, height=0.3 + 0.1 * r),), 1)
                for r in range(6))
-    return op, gam, ForcingSchedule(curves=Bs)
-
-
-def test_schedule_templates():
-    t0 = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
-    t1 = CpwlCurve((hat(0.3, 0.5, 0.7),), 1)
-    sched = ForcingSchedule(templates=(t0, t1),
-                            coeffs=lambda r: np.array([1.0, 2.0 ** -r]))
-    ts = np.linspace(0, 1, 200)
-    for r in [0, 2]:
-        want = t0(ts) + 2.0 ** -r * t1(ts)
-        assert np.max(np.abs(sched.stage(r)(ts) - want)) < 1e-14
+    return op, gam, lambda r: Bs[r]
 
 
 def test_expansion_matches_direct_iteration():
@@ -94,7 +81,7 @@ def test_compile_anchored_koch():
 
 def test_finite_state_stacking_commutes():
     sysm = gosper_system()
-    op, _ = stack_system(sysm)
+    op = stack_system(sysm)
     assert op.p == sysm.p * sysm.r
     for n in [1, 2]:
         per_state = gosper_oracle(n)
@@ -107,7 +94,7 @@ def test_finite_state_stacking_commutes():
 
 def test_finite_state_apply_matches_stack():
     sysm = gosper_system()
-    op, _ = stack_system(sysm)
+    op = stack_system(sysm)
     cur = gosper_stage0()
     nxt = sysm.apply(cur)
     nxt_stacked = apply_v(op, stack_curves(cur))
@@ -121,7 +108,7 @@ def test_anchored_no_wider_than_defect(inst, n):
     # Gamma joins the power-0 job, whose accumulator already carries p channels
     op = inst.op()
     E, _ = anchor_mismatch(op, None, inst.anchor())
-    defect = compile_affine(op, zero_curve(op.p, op.L), constant_schedule(E), n)
+    defect = compile_affine(op, zero_curve(op.p, op.L), lambda r: E, n)
     anchored = compile_anchored(op, None, inst.anchor(), None, n)
     assert anchored.stats["width"] <= defect.stats["width"]
 
@@ -130,7 +117,7 @@ def test_anchored_no_wider_than_defect(inst, n):
 def test_compile_anchored_gosper_low_stages(n):
     # n = 0 adds the anchor to eta, n = 1 to the only forcing stage
     sysm = gosper_system()
-    op, _ = stack_system(sysm)
+    op = stack_system(sysm)
     Gamma = stack_curves([straight_anchor((0, 0), (1, 0))] * sysm.r)
     ci = compile_anchored(op, None, Gamma, None, n)
     ts = np.sort(np.concatenate([np.linspace(-0.5, 1.5, 401),
