@@ -1,15 +1,15 @@
 """Compiler from refinement operators to exact ReLU networks.
 
 An atomic curve h(t) e_mu on one support cell is compiled by
-  * a controller pass computing the scalar factor h(R^n(x)) through the
-    min of two readout branches, with E(x) carried alongside,
+  * a controller pass computing the scalar factor h(R^n(x)) through one
+    loop field H with H(E(t)) = h(t), with E(x) carried alongside,
   * a second controller pass, restarted from the carried E(x), driving
     selector-gated transition blocks:
     Phi_0 = h(R^n x) e_l,  Phi_j = sum_q Pi_a(chi_q(z_{j-1}), T_q' Phi_{j-1}),
     one branch per output coordinate l; one product gadget per digit q
     gates all branches, since they share the selector chi_q.
-Cell networks are glued over the support window [0, L] with clamped ramps,
-and atomic contributions are summed with their shifts folded in.
+One net per atom group and support cell runs on its shifted input, and
+all of them are summed.
 """
 from __future__ import annotations
 
@@ -18,12 +18,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cpwl import CpwlCurve, SpecialHat, decompose_atomic
+from .cpwl import CpwlCurve, ScalarCpwl, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
-                   readout_fields, selector_fields)
+                   scalar_field, selector_fields)
 from .network import (Layer, ReluNetwork, affine_net, lower_curve_1d,
-                      lower_scalar_cpwl, min2_net, net_stats, passthrough,
-                      post_affine, pre_affine, serial, stack_nets)
+                      net_stats, passthrough, post_affine, pre_affine, serial,
+                      stack_nets)
 from .planar import lower_planar_field
 from .refinement import RefinementOp, block_transition, transition_norm
 
@@ -79,12 +79,11 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
 @dataclass
 class LoopAssets:
     """Lowered controller pieces shared by every atomic net of one stage:
-    the embedding, the controller, the readouts (rho^-, rho^+) and the
-    selectors (chi_0..chi_{M-1}), each a single net."""
+    the embedding, the controller and the selectors (chi_0..chi_{M-1}),
+    each a single net."""
 
     net_E: ReluNetwork
     net_F: ReluNetwork
-    net_rho: ReluNetwork
     net_chi: ReluNetwork
 
 
@@ -99,33 +98,33 @@ def _controller_net(M: int) -> ReluNetwork:
 
 
 @lru_cache(maxsize=None)
-def _readout_net(M: int) -> ReluNetwork:
-    return lower_planar_field(*readout_fields(M))
-
-
-@lru_cache(maxsize=None)
 def loop_assets(M: int, n: int) -> LoopAssets:
     """Each field is lowered once per value of what it depends on: the
-    embedding on nothing, the controller and the readouts on M, and only
-    the selectors on (M, n)."""
-    return LoopAssets(_embed_net(), _controller_net(M), _readout_net(M),
+    embedding on nothing, the controller on M, and the selectors on
+    (M, n).  The scalar field H is lowered once per (M, hat) by
+    ``_scalar_net``."""
+    return LoopAssets(_embed_net(), _controller_net(M),
                       lower_planar_field(*selector_fields(LoopConfig(M, n))))
 
 
-def scalar_factor_net(h: SpecialHat, assets: LoopAssets, n: int) -> ReluNetwork:
+@lru_cache(maxsize=None)
+def _scalar_net(M: int, ts: tuple, vs: tuple) -> ReluNetwork:
+    h = SpecialHat(ScalarCpwl(np.array(ts), np.array(vs)))
+    return lower_planar_field(scalar_field(h, M))
+
+
+def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
     """x in [0, 1] -> (h(R^n(x)), E(x)), E(x) carried on two nonnegative
     channels."""
-    net_h = lower_scalar_cpwl(h.base)
+    assets = loop_assets(M, n)
+    net_H = _scalar_net(M, tuple(h.base.ts), tuple(h.base.vs))
     # x -> (z, E(x)) with z = E(x)
     start = post_affine(assets.net_E, np.vstack([np.eye(2)] * 2), np.zeros(4))
     step = stack_nets([assets.net_F, passthrough(2, "nonneg", assets.net_F.depth)],
                       [[0, 1], [2, 3]], 4)
-    # (h(rho^-(z)), h(rho^+(z)))
-    branches = serial(assets.net_rho, stack_nets([net_h, net_h], [[0], [1]], 2))
-    head = stack_nets([branches, passthrough(2, "nonneg", branches.depth)],
+    head = stack_nets([net_H, passthrough(2, "nonneg", net_H.depth)],
                       [[0, 1], [2, 3]], 4)
-    tail = stack_nets([min2_net(), passthrough(2, "nonneg", 1)], [[0, 1], [2, 3]], 4)
-    return serial(start, *[step] * n, head, tail)
+    return serial(start, *[step] * n, head)
 
 
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
@@ -177,7 +176,7 @@ def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
     W = np.zeros((2 + B, 3))
     W[:2, 1:] = np.eye(2)
     W[2 + np.arange(pL) * (pL + 1), 0] = 1.0
-    start = post_affine(scalar_factor_net(h, assets, n), W, np.zeros(2 + B))
+    start = post_affine(scalar_factor_net(h, op.M, n), W, np.zeros(2 + B))
     core = serial(start, *[_recursion_stage(op, assets, a)] * n)
     Wsel = np.hstack([np.zeros((B, 2)), np.eye(B)])
     return post_affine(core, Wsel, np.zeros(B))
@@ -192,35 +191,6 @@ def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
     for l in range(pL):
         W[l, l * pL + mu] = 1.0
     return post_affine(core, W, np.zeros(pL))
-
-
-def glue_blocks(block_nets, p: int, L: int, tol: float = 1e-9) -> ReluNetwork:
-    """Glue per-cell networks f_1..f_L over [0, L] with clamped ramps.
-
-    Requires matching endpoint values f_k(1) = f_{k+1}(0) and vanishing
-    outer endpoints; the glued function is zero outside [0, L].
-    """
-    if len(block_nets) != L:
-        raise ValueError("need one block net per support cell")
-    vals0 = [bn.eval_scalar_input(np.array([0.0, 1.0])) for bn in block_nets]
-    if np.max(np.abs(vals0[0][0])) > tol or np.max(np.abs(vals0[-1][1])) > tol:
-        raise ValueError("glued curve does not vanish at the support ends")
-    for k in range(L - 1):
-        if np.max(np.abs(vals0[k][1] - vals0[k + 1][0])) > tol:
-            raise ValueError(f"block endpoint mismatch between cells {k} and {k + 1}")
-    # sigma_k(t) = ReLU(t - k + 1) - ReLU(t - k), built from shared ramps
-    W1 = np.ones((L + 1, 1))
-    b1 = -np.arange(L + 1, dtype=float)
-    Ws = np.zeros((L, L + 1))
-    for k in range(L):
-        Ws[k, k] = 1.0
-        Ws[k, k + 1] = -1.0
-    ramps = ReluNetwork(1, [Layer(W1, b1, "relu"), Layer(Ws, np.zeros(L), "linear")])
-    blocks = stack_nets(block_nets, [[k] for k in range(L)], L)
-    glued = serial(ramps, blocks)
-    Wsum = np.hstack([np.eye(p)] * L)
-    bias = -np.sum([vals0[k][0] for k in range(1, L)], axis=0) if L > 1 else np.zeros(p)
-    return post_affine(glued, Wsum, bias)
 
 
 def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
@@ -240,21 +210,22 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
         key = (t.shift, tuple(t.hat.base.ts), tuple(t.hat.base.vs))
         groups.setdefault(key, []).append(t)
     scale = float(op.M) ** (-n)
-    group_nets = []
+    # Cell k's net runs on t - k unclamped: E's lowering is constant off
+    # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
+    # 0 outside its cell.
+    cell_nets = []
     for (shift, _, _), ts in groups.items():
         core = atomic_core_net(op, ts[0].hat, n)
-        blocks = []
         for k in range(L):
             Wk = np.zeros((p, pL * pL))
             for t in ts:
                 for r in range(p):
                     Wk[r, (k * p + r) * pL + t.direction] += t.coeff
-            blocks.append(post_affine(core, Wk, np.zeros(p)))
-        g = glue_blocks(blocks, p, L, tol=1e-7)
-        group_nets.append(pre_affine(g, np.array([[1.0]]),
-                                     np.array([-scale * shift])))
-    total = stack_nets(group_nets, [[0]] * len(group_nets), 1)
-    Wsum = np.hstack([np.eye(p)] * len(group_nets))
+            cell_nets.append(pre_affine(post_affine(core, Wk, np.zeros(p)),
+                                        np.array([[1.0]]),
+                                        np.array([-scale * shift - k])))
+    total = stack_nets(cell_nets, [[0]] * len(cell_nets), 1)
+    Wsum = np.hstack([np.eye(p)] * len(cell_nets))
     net = post_affine(total, Wsum, np.zeros(p))
     return CompiledIterate(net, n, "homogeneous",
                            {"terms": len(terms), "groups": len(groups)})

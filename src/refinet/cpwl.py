@@ -77,11 +77,6 @@ def hat(left: float, mid: float, right: float, height: float = 1.0) -> ScalarCpw
     return ScalarCpwl(np.array([left, mid, right]), np.array([0.0, height, 0.0]))
 
 
-def from_breakpoints(points) -> ScalarCpwl:
-    pts = np.asarray(points, dtype=float)
-    return ScalarCpwl(pts[:, 0], pts[:, 1])
-
-
 def merge_grids(*grids, tol: float = MERGE_TOL) -> np.ndarray:
     """Sorted union of breakpoint grids, deduplicated with tolerance ``tol``."""
     allts = np.sort(np.concatenate([np.asarray(g, dtype=float).ravel() for g in grids]))
@@ -121,18 +116,6 @@ def cpwl_combine(f: ScalarCpwl, g: ScalarCpwl, op: str) -> ScalarCpwl:
         vs = np.maximum(fv, gv)
     else:
         raise ValueError(f"unknown combine op {op!r}")
-    return ScalarCpwl(ts, vs)
-
-
-def translate_scale(f: ScalarCpwl, delta: float, s: float) -> ScalarCpwl:
-    """The function t -> f(s*t - delta) for s != 0."""
-    if s == 0:
-        raise ValueError("scale must be nonzero")
-    ts = (f.ts + delta) / s
-    vs = f.vs
-    if s < 0:
-        ts = ts[::-1]
-        vs = vs[::-1]
     return ScalarCpwl(ts, vs)
 
 

@@ -330,11 +330,11 @@ NAMED_INSTANCES = (*_FIXED, *_FAMILIES)
 
 def get_instance(name: str):
     """A named instance; ``morton<p>`` and ``hilbert_rp<p>`` take an
-    optional dimension p (default 2)."""
+    optional dimension p >= 1 (default 2)."""
     name = name.lower()
     if name in _FIXED:
         return _FIXED[name]()
-    m = re.fullmatch(r"(morton|hilbert_rp)(\d*)", name)
+    m = re.fullmatch(r"(morton|hilbert_rp)([1-9]\d*)?", name)
     if m is None:
         raise KeyError(f"unknown instance {name!r}")
     return _FAMILIES[m[1]](int(m[2] or 2))

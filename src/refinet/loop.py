@@ -3,8 +3,8 @@
 The unit parameter interval is bent onto the boundary of the triangle with
 vertices a0=(0,0), a1=(1,1), a2=(1,0) by the embedding E; a CPwL field F on
 the (convex) triangle satisfies F(E(t)) = E(R(t)), so iterating F tracks
-the residual orbit of the digit map.  Readout fields recover scalar
-functions of the parameter, and selector fields recover the current digit
+the residual orbit of the digit map.  A scalar field H with H(E(t)) = h(t)
+reads a special hat's value, and selector fields recover the current digit
 away from a small transition set.
 """
 from __future__ import annotations
@@ -15,11 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cpwl import RHO, CpwlCurve, ScalarCpwl, cpwl_combine, merge_grids
+from .cpwl import (RHO, CpwlCurve, ScalarCpwl, SpecialHat, cpwl_combine,
+                   merge_grids)
 from .planar import PlanarCpwlField, fan_field
 
 
-EPSILON = 0.125  # the readouts' knee: r^- returns to 0 on [1 - eps, 1]
 DELTA_BAR = 0.5  # selector transition half-width in units of RHO * M^-(n+1)
 
 
@@ -154,32 +154,27 @@ def controller_orbit(x: float, n: int, F) -> np.ndarray:
     return z
 
 
-def _minus_knots(epsilon) -> list:
-    e = Fraction(epsilon)
-    return [(0, 0), (1 - e, 1 - e), (1, 0)]
-
-
-def _plus_knots(epsilon) -> list:
-    e = Fraction(epsilon)
-    return [(0, 1), (e, e), (1, 1)]
-
-
 def readout_minus(epsilon: float) -> ScalarCpwl:
     """r^-: identity up to 1 - eps, then a steep return to 0 at t = 1."""
-    return _knots_cpwl(_minus_knots(epsilon))
+    return ScalarCpwl(np.array([0, 1 - epsilon, 1]), np.array([0, 1 - epsilon, 0]))
 
 
 def readout_plus(epsilon: float) -> ScalarCpwl:
     """r^+: steep drop from 1 to eps on [0, eps], then the identity."""
-    return _knots_cpwl(_plus_knots(epsilon))
+    return ScalarCpwl(np.array([0, epsilon, 1]), np.array([1, epsilon, 1]))
 
 
-def readout_fields(M: int):
-    """Planar fields rho^-/rho^+ with rho^±(E(t)) = r^±(t), eps = EPSILON."""
-    knots = [_minus_knots(EPSILON), _plus_knots(EPSILON)]
-    params = _loop_params(M, [t for k in knots for t, _ in k])
-    fm, fp = _loop_fans(params, [_knots_at(k, params) for k in knots])
-    return fm, fp
+def scalar_field(h: SpecialHat, M: int) -> PlanarCpwlField:
+    """H on the triangle with H(E(t)) = h(t).
+
+    h vanishes off [RHO, 1 - RHO], so h(0) = h(1) = 0 agree at the seam
+    E(0) = E(1) and h is a single-valued CPwL function on the loop; H
+    takes h's exact values at the loop vertices, h's breakpoints among them.
+    """
+    b = h.base
+    knots = [(0, 0), *((Fraction(t), Fraction(v)) for t, v in zip(b.ts, b.vs)), (1, 0)]
+    params = _loop_params(M, [t for t, _ in knots])
+    return _loop_fans(params, [_knots_at(knots, params)])[0]
 
 
 def min_readout_scalar(h: ScalarCpwl, epsilon: float) -> ScalarCpwl:

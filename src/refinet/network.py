@@ -256,13 +256,6 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
     return ReluNetwork(input_dim, layers)
 
 
-def parallel(a: ReluNetwork, b: ReluNetwork) -> ReluNetwork:
-    """Disjoint-input parallel composition."""
-    sl_a = list(range(a.input_dim))
-    sl_b = list(range(a.input_dim, a.input_dim + b.input_dim))
-    return stack_nets([a, b], [sl_a, sl_b], a.input_dim + b.input_dim)
-
-
 def lower_scalar_cpwl(f: ScalarCpwl) -> ReluNetwork:
     """Exact one-hidden-layer realization of a scalar CPwL function."""
     k = f.ts.size
@@ -283,13 +276,6 @@ def lower_curve_1d(curve) -> ReluNetwork:
     """Lower a vector CPwL curve of one variable, sharing the input."""
     nets = [lower_scalar_cpwl(c) for c in curve.components]
     return stack_nets(nets, [[0]] * len(nets), 1)
-
-
-def min2_net() -> ReluNetwork:
-    """min(u, v) = u - ReLU(u - v), exact for all inputs."""
-    l1 = Layer(np.array([[1.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]), np.zeros(3), "relu")
-    l2 = Layer(np.array([[-1.0, 1.0, -1.0]]), np.zeros(1), "linear")
-    return ReluNetwork(2, [l1, l2])
 
 
 def _abs_max(W) -> float:

@@ -147,6 +147,11 @@ def test_malformed_family_dimension_is_parse_error(capsys):
     assert rc == 2
 
 
+def test_zero_family_dimension_is_parse_error(capsys):
+    for name in ["morton0", "hilbert_rp0"]:
+        assert main(["verify", "--example", name]) == 2
+
+
 def test_missing_source_errors():
     with pytest.raises(SystemExit):
         main(["verify"])

@@ -6,11 +6,9 @@ from unittest import mock
 
 from refinet import compiler
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
-                              glue_blocks, loop_assets, product_gadget,
-                              scalar_factor_net)
+                              loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
-                          readout_fields, selector_fields)
-from refinet.network import affine_net
+                          selector_fields)
 from refinet.planar import lower_planar_field
 from refinet.refinement import RefinementOp, apply_v_n, residual_iterate, vectorize
 
@@ -42,8 +40,7 @@ def test_product_gadget_needs_positive_bound():
 def test_scalar_factor_net_tracks_residual():
     h = SpecialHat(hat(0.3, 0.5, 0.7))
     for M, n in [(2, 3), (3, 2)]:
-        assets = loop_assets(M, n)
-        net = scalar_factor_net(h, assets, n)
+        net = scalar_factor_net(h, M, n)
         rng = np.random.default_rng(M)
         xs = rng.uniform(0, 1, 200)
         out = net.eval_scalar_input(xs)
@@ -68,7 +65,7 @@ def _same_net(a, b):
 
 def test_loop_assets_lower_shared_fields_once():
     M = 2
-    calls = {"F": 0, "readout": 0, "chi": 0}
+    calls = {"F": 0, "chi": 0}
 
     def counting(key, f):
         def wrapped(*args):
@@ -80,17 +77,14 @@ def test_loop_assets_lower_shared_fields_once():
     try:
         with mock.patch.multiple(
                 compiler, build_controller_field=counting("F", build_controller_field),
-                readout_fields=counting("readout", readout_fields),
                 selector_fields=counting("chi", selector_fields)):
             sweep = [loop_assets(M, n) for n in range(1, 17)]
     finally:
         _clear_compiler_caches()
-    assert calls == {"F": 1, "readout": 1, "chi": 16}
+    assert calls == {"F": 1, "chi": 16}
     # the shared fields are the ones a direct lowering gives
-    rho_net = lower_planar_field(*readout_fields(M))
     for n, a in enumerate(sweep, start=1):
         assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
-        assert _same_net(a.net_rho, rho_net)
         chis = selector_fields(LoopConfig(M, n))
         assert _same_net(a.net_chi, lower_planar_field(*chis))
 
@@ -105,24 +99,6 @@ def test_atomic_unit_interval_net():
     got = net.eval_scalar_input(xs)
     want = np.array([G2(x) for x in xs])
     assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_glue_blocks_simple():
-    # two cells of a tent over [0, 2]: f1(s) = s, f2(s) = 1 - s
-    up = affine_net(np.array([[1.0]]), np.array([0.0]))
-    down = affine_net(np.array([[-1.0]]), np.array([1.0]))
-    g = glue_blocks([up, down], 1, 2)
-    ts = np.linspace(-1, 3, 801)
-    want = np.clip(np.minimum(ts, 2 - ts), 0.0, None)
-    assert np.max(np.abs(g.eval_scalar_input(ts)[:, 0] - want)) < 1e-12
-
-
-def test_glue_blocks_rejects_mismatch():
-    up = affine_net(np.array([[1.0]]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        glue_blocks([up, up], 1, 2)      # f1(1) = 1 != f2(0) = 0 tail
-    with pytest.raises(ValueError):
-        glue_blocks([up], 1, 1)          # does not vanish at the right end
 
 
 def test_compile_homogeneous_scalar_exact():
@@ -141,12 +117,15 @@ def test_compile_homogeneous_vector_multicell():
     mask = {0: [[0.5]], 1: [[0.3]], 2: [[0.4]], 3: [[-0.2]], 4: [[0.6]]}
     op = RefinementOp(3, 1, 2, mask)
     gam = CpwlCurve((hat(0.25, 0.6, 0.75),), 2)
-    for n in [1, 2]:
+    for n in [1, 2, 4]:
         ci = compile_homogeneous(op, gam, n)
         oracle = apply_v_n(op, gam, n)
         ts = np.linspace(-0.5, 2.5, 901)
         err = np.max(np.abs(ci(ts)[:, 0] - oracle(ts).ravel()))
         assert err < 1e-11
+        # the cell nets are unclamped, yet vanish off the support window
+        off = np.concatenate([np.linspace(-0.5, 0, 201), np.linspace(2, 2.5, 201)])
+        assert np.max(np.abs(ci(off))) < 1e-12
 
 
 def test_compile_requires_compact_support():

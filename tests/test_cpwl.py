@@ -3,9 +3,8 @@ import pytest
 
 from refinet.cpwl import (CpwlCurve, ScalarCpwl, SpecialHat,
                           SupportError, constant, cpwl_combine,
-                          decompose_atomic, from_breakpoints, hat,
-                          merge_grids, reconstruct_atomic, translate_scale,
-                          zero_curve)
+                          decompose_atomic, hat, merge_grids,
+                          reconstruct_atomic, zero_curve)
 
 
 def test_scalar_eval_and_tails():
@@ -31,8 +30,8 @@ def test_breakpoints_must_increase():
 
 
 def test_combine_min_inserts_crossings():
-    f = from_breakpoints([(0.0, 0.0), (1.0, 1.0)])
-    g = from_breakpoints([(0.0, 1.0), (1.0, 0.0)])
+    f = ScalarCpwl(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    g = ScalarCpwl(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     m = cpwl_combine(f, g, "min")
     ts = np.linspace(-0.5, 1.5, 301)
     want = np.minimum(f(ts), g(ts))
@@ -49,13 +48,6 @@ def test_combine_sum_and_max():
         ts = np.linspace(-0.2, 1.2, 500)
         assert np.max(np.abs(cpwl_combine(f, g, "sum")(ts) - (f(ts) + g(ts)))) < 1e-12
         assert np.max(np.abs(cpwl_combine(f, g, "max")(ts) - np.maximum(f(ts), g(ts)))) < 1e-12
-
-
-def test_translate_scale():
-    h = hat(0.25, 0.5, 0.75)
-    g = translate_scale(h, 1.0, 2.0)  # g(t) = h(2t - 1)
-    ts = np.linspace(0, 2, 401)
-    assert np.max(np.abs(g(ts) - h(2 * ts - 1.0))) < 1e-14
 
 
 def test_merge_grids_dedupes():

@@ -121,3 +121,6 @@ def test_named_instances_resolve():
         get_instance("nope")
     with pytest.raises(KeyError):
         get_instance("mortonx")
+    for name in ["morton0", "hilbert_rp0"]:
+        with pytest.raises(KeyError):
+            get_instance(name)

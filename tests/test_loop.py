@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refinet.cpwl import hat
+from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, hat
 from refinet.loop import (LoopConfig, build_controller_field, controller_orbit,
                           embed, min_readout_scalar, readout_minus,
-                          readout_plus, selector_fields, selector_scalars)
+                          readout_plus, scalar_field, selector_fields,
+                          selector_scalars)
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
 
@@ -114,6 +115,47 @@ def test_min_readout_identity():
         for eps in [0.125, 0.2]:
             m = min_readout_scalar(h, eps)
             assert np.max(np.abs(m(ts) - h(ts))) < 1e-12
+
+
+def _exact_interp(h, t):
+    """h(t) in exact arithmetic, from h's float breakpoints and values."""
+    knots = [(Fraction(a), Fraction(v)) for a, v in zip(h.base.ts, h.base.vs)]
+    for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+        if t0 <= t <= t1:
+            return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+    return Fraction(0)
+
+
+def _exact_embed(t):
+    if t <= Fraction(1, 3):
+        return 3 * t, 3 * t
+    if t <= Fraction(2, 3):
+        return Fraction(1), 2 - 3 * t
+    return 3 - 3 * t, Fraction(0)
+
+
+def test_scalar_field_reads_the_hat():
+    rng = np.random.default_rng(5)
+    hats = [SpecialHat(hat(0.25, 0.5, 0.75))]
+    for _ in range(6):
+        k = int(rng.integers(3, 7))
+        ts = np.sort(rng.uniform(RHO, 1 - RHO, k))
+        vs = np.concatenate([[0.0], rng.uniform(0.1, 3.0, k - 2), [0.0]])
+        hats.append(SpecialHat(ScalarCpwl(ts, vs)))
+    ts = rng.uniform(0, 1, 2000)
+    for M in range(2, 8):
+        for h in hats:
+            field = scalar_field(h, M)
+            # exact at every loop vertex: the j/(3M) grid and h's breakpoints
+            params = {Fraction(j, 3 * M) for j in range(3 * M)}
+            params |= {Fraction(t) for t in h.base.ts}
+            for t in params:
+                v = np.array([float(c) for c in _exact_embed(t)])
+                row = np.flatnonzero(np.all(field.vertices == v, axis=1))
+                assert row.size == 1
+                assert field.values[row[0], 0] == float(_exact_interp(h, t))
+            got = lower_planar_field(field)(embed(ts).astype(float))[:, 0]
+            assert np.max(np.abs(got - h(ts))) < 1e-12
 
 
 def test_selector_conventions():

@@ -10,9 +10,8 @@ from refinet import compile_anchored, gallery, network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, from_json_dict,
                              identity_net, lower_curve_1d, lower_scalar_cpwl,
-                             min2_net, net_stats, parallel, passthrough,
-                             post_affine, pre_affine, serial, stack_nets,
-                             to_json_dict)
+                             net_stats, passthrough, post_affine, pre_affine,
+                             serial, stack_nets, to_json_dict)
 from refinet.reductions import stack_curves, stack_system
 
 
@@ -74,24 +73,6 @@ def test_stack_nets_pads_depth():
     h = hat(0.0, 0.5, 1.0)
     assert np.max(np.abs(out[:, 0] - h(ts))) < 1e-12
     assert np.max(np.abs(out[:, 1] - h(h(ts)))) < 1e-12
-
-
-def test_parallel_disjoint_inputs():
-    a = lower_scalar_cpwl(hat(0.0, 0.5, 1.0))
-    b = lower_scalar_cpwl(hat(0.25, 0.5, 0.75))
-    net = parallel(a, b)
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0, 1, (50, 2))
-    out = net(x)
-    assert np.max(np.abs(out[:, 0] - hat(0.0, 0.5, 1.0)(x[:, 0]))) < 1e-12
-    assert np.max(np.abs(out[:, 1] - hat(0.25, 0.5, 0.75)(x[:, 1]))) < 1e-12
-
-
-def test_min2():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(200, 2))
-    out = min2_net()(x)[:, 0]
-    assert np.max(np.abs(out - np.min(x, axis=1))) < 1e-12
 
 
 def test_lower_curve_1d():

@@ -33,9 +33,9 @@ def anchored(name, n):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (102, 20, 3850)),
-    (lambda: anchored("koch", 3), (31, 186, 9262)),
-    (lambda: anchored("heighway", 8), (211, 96, 36599)),
+    (scalar_deep, (99, 20, 3779)),
+    (lambda: anchored("koch", 3), (25, 186, 8398)),
+    (lambda: anchored("heighway", 8), (190, 96, 34964)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
