@@ -22,6 +22,10 @@ from .cpwl import ScalarCpwl
 _SPARSE_MIN_SIZE = 250_000
 # bytes of activations per layer that one chunk of evaluated points may hold
 _EVAL_BUDGET = 16 * 2 ** 20
+# neighbouring diagonal blocks of a layer merge while the merged block holds at
+# most this many times the entries of the finest blocks inside it: each block
+# costs the evaluator one matmul call, each entry one multiply-add per point
+_BLOCK_MERGE = 2
 
 
 def _issparse(W) -> bool:
@@ -87,6 +91,7 @@ class ReluNetwork:
     def __init__(self, input_dim: int, layers=()):
         self.input_dim = int(input_dim)
         self.layers = _canon(self.input_dim, list(layers))
+        self._plans = {}
 
     @property
     def output_dim(self) -> int:
@@ -99,14 +104,20 @@ class ReluNetwork:
     def __call__(self, x):
         """Evaluate on x of shape (d,) or (N, d).
 
-        Points are evaluated one column each (y = W @ y), in chunks whose
-        widest activation stays within ``_EVAL_BUDGET`` bytes, so memory is
-        bounded for any N.  Layers write alternately into two buffers
-        allocated once per call: allocating each activation afresh lets the
-        allocator hand pages back and fault them in again on every layer.
-        Input is evaluated in float64, except np.longdouble input, which
-        stays in long double.  Long-double layers run as CSR: numpy has no
-        BLAS for long double, and lowered loop fields are mostly zeros.
+        Points are evaluated one column each, in chunks whose widest
+        activation stays within ``_EVAL_BUDGET`` bytes, so memory is bounded
+        for any N.  Layers write alternately into two buffers allocated once
+        per call: allocating each activation afresh lets the allocator hand
+        pages back and fault them in again on every layer.
+
+        Each layer runs as the steps of an evaluation plan, built on the
+        first call for each input dtype and cached (``_plan``): one matmul
+        per contiguous diagonal block of W, zeros for rows with no weights,
+        and the bias added only on the rows where it is nonzero.  Input is
+        evaluated in float64, except np.longdouble input, which stays in long
+        double; its plan multiplies each layer as one long-double CSR matrix,
+        since numpy has no BLAS for long double and lowered loop fields are
+        mostly zeros.
         """
         x = np.asarray(x)
         long = x.dtype == np.longdouble
@@ -116,32 +127,124 @@ class ReluNetwork:
         x = np.atleast_2d(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
-        layers = [(_sp.csr_matrix(l.weights) if long and not _issparse(l.weights)
-                   else l.weights, l.bias[:, None], l.activation == "relu")
-                  for l in self.layers]
+        plan = self._plan(x.dtype)
         widest = max(l.weights.shape[0] for l in self.layers)
         chunk = max(1, _EVAL_BUDGET // (x.itemsize * widest))
         out = np.empty((x.shape[0], self.output_dim), dtype=x.dtype)
         bufs = np.empty((2, widest * min(chunk, x.shape[0])), dtype=x.dtype)
         for s in range(0, x.shape[0], chunk):
             y = x[s:s + chunk].T
-            for i, (W, b, relu) in enumerate(layers):
-                buf = bufs[i % 2, :W.shape[0] * y.shape[1]].reshape(W.shape[0], -1)
-                if _issparse(W):
-                    buf[...] = W @ y
-                else:
-                    np.matmul(W, y, out=buf)
-                buf += b
+            for i, (rows, mats, zeros, biases, relu) in enumerate(plan):
+                buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, -1)
+                for rs, cs, W in mats:
+                    if long:
+                        buf[rs] = W @ y[cs]
+                    else:
+                        np.matmul(W, y[cs], out=buf[rs])
+                for rs in zeros:
+                    buf[rs] = 0.0
+                for rs, b in biases:
+                    buf[rs] += b
                 if relu:
                     np.maximum(buf, 0.0, out=buf)
                 y = buf
             out[s:s + chunk] = y.T
         return out[0] if single else out
 
+    def _plan(self, dtype):
+        """The cached evaluation plan for input of ``dtype``: per layer,
+        (rows, [(row slice, column slice, W)], [zero row slices],
+        [(row slice, bias column)], relu)."""
+        dtype = np.dtype(dtype)
+        plan = self._plans.get(dtype)
+        if plan is None:
+            if dtype == np.longdouble:
+                mats = [((slice(None), slice(None),
+                          _sp.csr_matrix(l.weights, dtype=np.longdouble)),)
+                        for l in self.layers]
+                zeros = [()] * len(self.layers)
+            else:
+                blocks = _diagonal_blocks(self.layers)
+                mats = [tuple((slice(r0, r1), slice(c0, c1),
+                               _dense(l.weights[r0:r1, c0:c1]))
+                              for r0, r1, c0, c1 in bs if c1 > c0)
+                        for l, bs in zip(self.layers, blocks)]
+                zeros = [tuple(slice(r0, r1) for r0, r1, c0, c1 in bs if c1 <= c0)
+                         for bs in blocks]
+            plan = self._plans[dtype] = tuple(
+                (l.weights.shape[0], m, z, _bias_runs(l.bias), l.activation == "relu")
+                for l, m, z in zip(self.layers, mats, zeros))
+        return plan
+
     def eval_scalar_input(self, t):
         """Convenience for 1-input networks: map array t to (N, out)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.atleast_1d(np.asarray(t))
         return self(t[:, None])
+
+
+def _diagonal_blocks(layers):
+    """Per layer, the (r0, r1, c0, c1) of contiguous diagonal blocks that
+    hold every nonzero of its weights (dense or CSR).
+
+    The finest split cuts after row i wherever no later row starts before
+    the last column used by rows 0..i.  Neighbouring blocks then merge while
+    the merged block holds at most ``_BLOCK_MERGE`` times the entries of the
+    finest blocks inside it.  A block of rows with no nonzeros has c1 < c0.
+    All layers are split in one pass, as the diagonal blocks of a single
+    matrix: a cut always falls between two of them.
+    """
+    shapes = np.array([l.weights.shape for l in layers])
+    roff = np.concatenate(([0], np.cumsum(shapes[:, 0])))
+    coff = np.concatenate(([0], np.cumsum(shapes[:, 1])))
+    rows, cols = [], []
+    for l, r, c in zip(layers, roff.tolist(), coff.tolist()):
+        W = l.weights
+        if _issparse(W):
+            W = W.tocoo()
+            nz = W.data != 0
+            i, j = W.row[nz], W.col[nz]
+        else:
+            i, j = np.divmod(np.flatnonzero(W.ravel() != 0), W.shape[1])
+        rows.append(i + r)
+        cols.append(j + c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # a row with no nonzeros starts at its layer's last column and ends at its first
+    first = np.repeat(coff[1:], shapes[:, 0])
+    end = np.repeat(coff[:-1], shapes[:, 0])
+    np.minimum.at(first, rows, cols)
+    np.maximum.at(end, rows, cols + 1)
+    start = np.minimum.accumulate(first[::-1])[::-1]
+    r0s = np.flatnonzero(start[1:] >= np.maximum.accumulate(end)[:-1]) + 1
+    r0s = np.concatenate(([0], r0s))
+    c0s = np.minimum.reduceat(first, r0s)
+    c1s = np.maximum.reduceat(end, r0s)
+    r1s = np.append(r0s[1:], roff[-1])
+    out = [[] for _ in layers]
+    k = np.searchsorted(roff, r0s, side="right") - 1
+    for blocks, r0, r1, c0, c1 in zip([out[i] for i in k.tolist()],
+                                      (r0s - roff[k]).tolist(), (r1s - roff[k]).tolist(),
+                                      (c0s - coff[k]).tolist(), (c1s - coff[k]).tolist()):
+        fine = (r1 - r0) * max(c1 - c0, 0)
+        if blocks:
+            p0, _, q0, q1, pf = blocks[-1]
+            m0, m1 = min(q0, c0), max(q1, c1)
+            if (r1 - p0) * max(m1 - m0, 0) <= _BLOCK_MERGE * (pf + fine):
+                blocks[-1] = (p0, r1, m0, m1, pf + fine)
+                continue
+        blocks.append((r0, r1, c0, c1, fine))
+    return [[blk[:4] for blk in blocks] for blocks in out]
+
+
+def _dense(W) -> np.ndarray:
+    return W.toarray() if _issparse(W) else np.ascontiguousarray(W)
+
+
+def _bias_runs(b):
+    """(row slice, bias column) of each maximal run of nonzero bias."""
+    nz = np.concatenate(([False], b != 0, [False]))
+    edges = np.flatnonzero(nz[1:] != nz[:-1]).tolist()
+    return tuple((slice(r0, r1), b[r0:r1, None])
+                 for r0, r1 in zip(edges[::2], edges[1::2]))
 
 
 def identity_net(dim: int) -> ReluNetwork:
@@ -285,6 +388,8 @@ def _abs_max(W) -> float:
 
 
 def net_stats(net: ReluNetwork) -> dict:
+    """Sizes of ``net``; ``eval_entries`` counts the weights its float64
+    evaluation plan multiplies per point."""
     width = max(l.weights.shape[0] for l in net.layers)
     coeff = max(max(_abs_max(l.weights), _abs_max(l.bias)) for l in net.layers)
     return {
@@ -294,6 +399,8 @@ def net_stats(net: ReluNetwork) -> dict:
         "depth": int(net.depth),
         "layer_count": len(net.layers),
         "coeff_max": float(coeff),
+        "eval_entries": sum((r1 - r0) * (c1 - c0) for blocks in _diagonal_blocks(net.layers)
+                            for r0, r1, c0, c1 in blocks if c1 > c0),
     }
 
 

@@ -143,3 +143,12 @@ def test_compiled_structure_constant_width():
     assert len(widths) == 1
     diffs = {stats[i + 1]["depth"] - stats[i]["depth"] for i in range(2)}
     assert len(diffs) == 1
+
+
+def test_compiled_iterate_keeps_long_double():
+    ci = compile_homogeneous(scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1), 2)
+    t = np.linspace(-0.5, 1.5, 101)
+    hi = ci(t.astype(np.longdouble))
+    assert hi.dtype == np.longdouble
+    assert np.array_equal(hi, ci.net(t[:, None].astype(np.longdouble)))
+    assert ci(t).dtype == np.float64

@@ -125,6 +125,41 @@ def test_long_double_input_stays_long_double():
     assert identity_net(1)(np.array([2])).dtype == np.float64
 
 
+def test_long_double_plan_is_built_once():
+    net = serial(lower_scalar_cpwl(hat(0.0, 0.5, 1.0)), passthrough(1, "general", 2))
+    ts = np.linspace(-0.5, 1.5, 11)[:, None]
+    lo = ts.astype(np.longdouble)
+    with mock.patch.object(sparse, "csr_matrix", wraps=sparse.csr_matrix) as csr:
+        first = net(lo)
+        built = csr.call_count
+        assert net(lo).tobytes() == first.tobytes()
+    assert built == len(net.layers) and csr.call_count == built
+    net(ts)
+    plans = dict(net._plans)
+    assert set(plans) == {np.dtype(np.float64), np.dtype(np.longdouble)}
+    net(lo), net(ts)
+    assert all(net._plans[k] is plans[k] for k in plans)
+
+
+def test_plan_splits_layers_into_diagonal_blocks():
+    W = np.zeros((7, 5))
+    W[:2, :2] = [[1.0, 2.0], [0.0, 3.0]]
+    W[3, 3:] = [4.0, 5.0]
+    b = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0])
+    net = ReluNetwork(5, [Layer(W, b, "relu"), Layer(np.ones((1, 7)), [0.0], "linear")])
+    for lay in [net.layers[0], Layer(sparse.csr_matrix(W), b, "relu")]:
+        (rows, mats, zeros, biases, relu), = ReluNetwork(5, [lay])._plan(float)[:1]
+        # zero rows join the block above while it at most doubles; rows 5-6
+        # stay a block of zeros
+        assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 2)),
+                                                    (slice(3, 5), slice(3, 5))]
+        assert zeros == (slice(5, 7),)
+        assert [rs for rs, _ in biases] == [slice(1, 3), slice(4, 5)]
+    assert net_stats(net)["eval_entries"] == 6 + 4 + 7
+    x = np.random.default_rng(6).normal(size=(9, 5))
+    assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         serial(identity_net(2), identity_net(3))
@@ -194,8 +229,35 @@ def random_nets(draw):
     return ReluNetwork(d, layers), rng
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_nets(), st.integers(1, 5), st.integers(-1, 1), st.integers(1, 3))
+@st.composite
+def stacked_nets(draw):
+    """stack_nets of 1-4 random nets of unequal depth on random input
+    slices, with zero biases, all-zero rows and columns, and CSR layers."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 4))
+    nets, slices = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        sl = rng.choice(d, size=rng.integers(1, d + 1), replace=False)
+        widths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+        layers, prev = [], sl.size
+        for i, w in enumerate(widths):
+            W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.6)
+            W[rng.uniform(size=w) < 0.2] = 0.0
+            W[:, rng.uniform(size=prev) < 0.2] = 0.0
+            b = rng.normal(size=w) * (rng.uniform(size=w) < 0.5)
+            act = "linear" if i == len(widths) - 1 else "relu"
+            layers.append(Layer(W, b, act))
+            prev = w
+        nets.append(ReluNetwork(sl.size, layers))
+        slices.append(sl)
+    with mock.patch.object(network, "_SPARSE_MIN_SIZE", draw(st.integers(1, 400))):
+        return stack_nets(nets, slices, d), rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_nets(), stacked_nets()), st.integers(1, 5),
+       st.integers(-1, 1), st.integers(1, 3))
 def test_chunked_eval_matches_reference(net_rng, chunk, off, k):
     net, rng = net_rng
     widest = max(l.weights.shape[0] for l in net.layers)

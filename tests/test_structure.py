@@ -2,8 +2,10 @@
 
 Depth, width and nonzeros are counted as the benchmark counts them: ReLU
 layers, the widest layer, and the stored entries of CSR layers plus the
-nonzero entries of dense layers.  A change that grows one of these nets
-fails here, before it reaches a benchmark run.
+nonzero entries of dense layers.  The fourth count is the weights the
+float64 evaluation plan multiplies per point (``net_stats``'
+``eval_entries``).  A change that grows one of these nets, or the work of
+evaluating it, fails here, before it reaches a benchmark run.
 """
 import numpy as np
 import pytest
@@ -12,14 +14,17 @@ from scipy import sparse
 from refinet import gallery
 from refinet.compiler import compile_homogeneous
 from refinet.cpwl import CpwlCurve, hat
+from refinet.network import net_stats
 from refinet.reductions import compile_anchored
 from refinet.refinement import RefinementOp
+from test_network import _reference
 
 
 def structure(net):
     nnz = sum(int(l.weights.nnz) if sparse.issparse(l.weights)
               else int(np.count_nonzero(l.weights)) for l in net.layers)
-    return net.depth, max(l.weights.shape[0] for l in net.layers), nnz
+    return (net.depth, max(l.weights.shape[0] for l in net.layers), nnz,
+            net_stats(net)["eval_entries"])
 
 
 def scalar_deep():
@@ -33,10 +38,22 @@ def anchored(name, n):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (99, 20, 3779)),
-    (lambda: anchored("koch", 3), (25, 186, 8398)),
-    (lambda: anchored("heighway", 8), (190, 96, 34964)),
+    (scalar_deep, (99, 20, 3779, 14038)),
+    (lambda: anchored("koch", 3), (25, 186, 8398, 53973)),
+    (lambda: anchored("heighway", 8), (190, 96, 34964, 150556)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
     assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
+
+
+@pytest.mark.parametrize("build", [scalar_deep, lambda: anchored("koch", 3),
+                                   lambda: anchored("heighway", 8)],
+                         ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
+def test_benchmark_nets_match_reference(build):
+    net = build().net
+    x = np.linspace(-0.25, 1.25, 2001)[:, None]
+    want = _reference(net, x)
+    assert np.max(np.abs(net(x) - want)) < 1e-12
+    lo = x[::7].astype(np.longdouble)
+    assert np.max(np.abs(net(lo) - _reference(net, lo))) < 1e-12
