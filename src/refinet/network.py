@@ -3,6 +3,8 @@
 Networks are kept in canonical form: zero or more ReLU layers followed by
 exactly one linear output layer.  Affine maps fold into neighbouring
 layers, so pre/post composition and serial wiring never add depth.
+The constructor checks layers from outside (callers, JSON); composition
+reuses the checked layers of its nets and folds only at the seams.
 Layers that stack_nets builds wide, and CSR layers read from JSON, store no
 zeros.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,11 +52,6 @@ def _matmul(A, B):
     return A @ B
 
 
-def _matvec(W, v):
-    out = W @ v
-    return np.asarray(out).ravel()
-
-
 @dataclass(frozen=True)
 class Layer:
     weights: object      # (out, in) ndarray or scipy CSR
@@ -61,8 +59,15 @@ class Layer:
     activation: str      # "relu" | "linear"
 
 
+def _fold(prev: Layer, lay: Layer) -> Layer:
+    """``lay`` applied after the linear layer ``prev``, as one layer."""
+    return Layer(_matmul(lay.weights, prev.weights),
+                 lay.bias + np.asarray(lay.weights @ prev.bias).ravel(), lay.activation)
+
+
 def _canon(input_dim: int, layers):
-    """Fold consecutive linear layers, guarantee a trailing linear layer."""
+    """Check layers, fold consecutive linear layers, guarantee a trailing
+    linear layer."""
     out = []
     d = input_dim
     for lay in layers:
@@ -74,11 +79,10 @@ def _canon(input_dim: int, layers):
             raise ValueError(f"layer expects input {W.shape[1]}, got {d}")
         if lay.activation not in ("relu", "linear"):
             raise ValueError(f"unknown activation {lay.activation!r}")
+        lay = Layer(W, b, lay.activation)
         if out and out[-1].activation == "linear":
-            prev = out.pop()
-            b = b + _matvec(W, prev.bias)
-            W = _matmul(W, prev.weights)
-        out.append(Layer(W, b, lay.activation))
+            lay = _fold(out.pop(), lay)
+        out.append(lay)
         d = W.shape[0]
     if not out or out[-1].activation != "linear":
         out.append(Layer(np.eye(d), np.zeros(d), "linear"))
@@ -92,6 +96,13 @@ class ReluNetwork:
         self.input_dim = int(input_dim)
         self.layers = _canon(self.input_dim, list(layers))
         self._plans = {}
+
+    @classmethod
+    def _canonical(cls, input_dim: int, layers) -> "ReluNetwork":
+        """A network on ``layers`` that are canonical and checked already."""
+        net = cls.__new__(cls)
+        net.input_dim, net.layers, net._plans = int(input_dim), tuple(layers), {}
+        return net
 
     @property
     def output_dim(self) -> int:
@@ -257,14 +268,15 @@ def affine_net(W, b) -> ReluNetwork:
 
 
 def serial(*nets) -> ReluNetwork:
-    """Feed each network's output into the next."""
-    nets = list(nets)
-    layers = []
-    for i, net in enumerate(nets):
-        if i and nets[i - 1].output_dim != net.input_dim:
+    """Feed each network's output into the next.  Only the seams fold: the
+    output layer of each net into the first layer of the next."""
+    layers = list(nets[0].layers)
+    for prev, net in zip(nets, nets[1:]):
+        if prev.output_dim != net.input_dim:
             raise ValueError("serial dimension mismatch")
-        layers.extend(net.layers)
-    return ReluNetwork(nets[0].input_dim, layers)
+        layers.append(_fold(layers.pop(), net.layers[0]))
+        layers.extend(net.layers[1:])
+    return ReluNetwork._canonical(nets[0].input_dim, layers)
 
 
 def pre_affine(net: ReluNetwork, W, b) -> ReluNetwork:
@@ -272,9 +284,7 @@ def pre_affine(net: ReluNetwork, W, b) -> ReluNetwork:
 
 
 def post_affine(net: ReluNetwork, W, b) -> ReluNetwork:
-    W = _as_weights(W)
-    return ReluNetwork(net.input_dim,
-                       list(net.layers) + [Layer(W, np.asarray(b, dtype=float), "linear")])
+    return serial(net, ReluNetwork(net.output_dim, [Layer(W, b, "linear")]))
 
 
 def passthrough(dim: int, sign: str = "general", depth: int = 1) -> ReluNetwork:
@@ -314,49 +324,35 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
 
     ``in_slices[i]`` lists the indices of the joint input that feed net i.
     Shallower networks are padded at the end with general passthrough
-    stages; outputs are concatenated in order.
+    stages; outputs are concatenated in order.  The joint layers are block
+    diagonals of canonical layers, so they are canonical as built.
     """
     nets = list(nets)
     D = max(n.depth for n in nets)
     nets = [extend_depth(n, D - n.depth) for n in nets]
-    layers = []
-    prev_dims = None  # per-net dimension of previous joint layer
+    cols = [np.asarray(sl, dtype=int) for sl in in_slices]  # joint inputs of each net
+    layers, d = [], input_dim
     for li in range(D + 1):
         blocks = [n.layers[li] for n in nets]
-        act = blocks[0].activation
-        out_dims = [b.weights.shape[0] for b in blocks]
-        tot_out = sum(out_dims)
-        bias = np.concatenate([b.bias for b in blocks])
-        if li == 0:
-            use_sparse = tot_out * input_dim >= _SPARSE_MIN_SIZE
-            if use_sparse:
-                W = _sp.lil_matrix((tot_out, input_dim))
-            else:
-                W = np.zeros((tot_out, input_dim))
-            r = 0
-            for b, sl in zip(blocks, in_slices):
-                idx = np.asarray(sl, dtype=int)
-                Wb = b.weights.toarray() if _issparse(b.weights) else b.weights
-                W[r:r + Wb.shape[0], idx] = Wb
-                r += Wb.shape[0]
-            if use_sparse:
-                W = W.tocsr()
+        rows = list(accumulate((b.weights.shape[0] for b in blocks), initial=0))
+        if rows[-1] * d >= _SPARSE_MIN_SIZE:
+            coo = [_sp.coo_matrix(b.weights) for b in blocks]
+            W = _sp.csr_matrix((np.concatenate([m.data for m in coo]),
+                                (np.concatenate([m.row + r for m, r in zip(coo, rows)]),
+                                 np.concatenate([np.arange(d)[c][m.col]
+                                                 for m, c in zip(coo, cols)]))),
+                               shape=(rows[-1], d))
+            W.eliminate_zeros()
+            W.sort_indices()
         else:
-            tot_in = sum(prev_dims)
-            if tot_out * tot_in >= _SPARSE_MIN_SIZE:
-                W = _sp.block_diag([_sp.csr_matrix(b.weights) for b in blocks],
-                                   format="csr")
-            else:
-                W = np.zeros((tot_out, tot_in))
-                r = c = 0
-                for b, pd in zip(blocks, prev_dims):
-                    Wb = b.weights.toarray() if _issparse(b.weights) else b.weights
-                    W[r:r + Wb.shape[0], c:c + pd] = Wb
-                    r += Wb.shape[0]
-                    c += pd
-        layers.append(Layer(W, bias, act))
-        prev_dims = out_dims
-    return ReluNetwork(input_dim, layers)
+            W = np.zeros((rows[-1], d))
+            for b, r0, r1, c in zip(blocks, rows, rows[1:], cols):
+                W[r0:r1, c] = b.weights.toarray() if _issparse(b.weights) else b.weights
+        layers.append(Layer(W, np.concatenate([b.bias for b in blocks]),
+                            blocks[0].activation))
+        cols = [slice(r0, r1) for r0, r1 in zip(rows, rows[1:])]
+        d = rows[-1]
+    return ReluNetwork._canonical(input_dim, layers)
 
 
 def lower_scalar_cpwl(f: ScalarCpwl) -> ReluNetwork:
@@ -387,18 +383,20 @@ def _abs_max(W) -> float:
     return float(np.max(np.abs(W))) if W.size else 0.0
 
 
+def _sizes(net: ReluNetwork) -> dict:
+    return {"width": max(l.weights.shape[0] for l in net.layers), "depth": net.depth,
+            "coeff_max": max(max(_abs_max(l.weights), _abs_max(l.bias))
+                             for l in net.layers)}
+
+
 def net_stats(net: ReluNetwork) -> dict:
     """Sizes of ``net``; ``eval_entries`` counts the weights its float64
     evaluation plan multiplies per point."""
-    width = max(l.weights.shape[0] for l in net.layers)
-    coeff = max(max(_abs_max(l.weights), _abs_max(l.bias)) for l in net.layers)
     return {
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
-        "width": int(width),
-        "depth": int(net.depth),
+        **_sizes(net),
         "layer_count": len(net.layers),
-        "coeff_max": float(coeff),
         "eval_entries": sum((r1 - r0) * (c1 - c0) for blocks in _diagonal_blocks(net.layers)
                             for r0, r1, c0, c1 in blocks if c1 > c0),
     }
@@ -431,16 +429,10 @@ def _layer_from_json(d: dict) -> Layer:
 
 
 def to_json_dict(net: ReluNetwork, builder: str = "") -> dict:
-    stats = net_stats(net)
     return {
         "input_dim": net.input_dim,
         "layers": [_layer_to_json(l) for l in net.layers],
-        "meta": {
-            "width": stats["width"],
-            "depth": stats["depth"],
-            "coeff_max": stats["coeff_max"],
-            "builder": builder,
-        },
+        "meta": {**_sizes(net), "builder": builder},
     }
 
 

@@ -14,8 +14,8 @@ fan share the hat layers, differing only in the linear readout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,25 +71,25 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
     ints or ``fractions.Fraction``).  Boundary-edge midpoints, with their
     interpolated values, are inserted until every wedge is below pi, which
     leaves the field unchanged.  The hat planes and the readout weights are
-    solved exactly and each rounded once to float64.
+    solved exactly in integers over one common denominator D of the data,
+    and each rounded once to float64 as a correctly rounded int / int.
     """
-    def exact(v):
-        return Fraction(*v.as_integer_ratio())
-
-    cx, cy, *cv = (exact(v) for v in [*center, *np.atleast_1d(
-        np.asarray(center_value, dtype=object))])
     bvals = np.asarray(boundary_values, dtype=object)
     if bvals.ndim == 1:
         bvals = bvals[:, None]
-    # rows (x - cx, y - cy, values...) of the boundary vertices
-    ring = [[exact(p[0]) - cx, exact(p[1]) - cy, *map(exact, v)]
-            for p, v in zip(boundary_pts, bvals)]
+    rows = [[*center, *np.atleast_1d(np.asarray(center_value, dtype=object))]]
+    rows += [[*p, *v] for p, v in zip(boundary_pts, bvals)]
+    rows = [[v.as_integer_ratio() for v in row] for row in rows]
+    D = math.lcm(*(q for row in rows for _, q in row))
+    (cx, cy, *cv), *ring = [[p * (D // q) for p, q in row] for row in rows]
+    # rows D * (x - cx, y - cy, values...) of the boundary vertices
+    ring = [[x - cx, y - cy, *v] for x, y, *v in ring]
 
     def cross(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
     def mid(a, b):
-        return [(s + t) / 2 for s, t in zip(a, b)]
+        return [(s + t) // 2 for s, t in zip(a, b)]
 
     sign = 1 if cross(ring[0], ring[1]) > 0 else -1
     if any(sign * cross(ring[i - 1], ring[i]) <= 0 for i in range(len(ring))):
@@ -99,26 +99,31 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
         wide = [i for i in range(n) if sign * cross(ring[i - 1], ring[(i + 1) % n]) <= 0]
         if not wide:
             break
+        # double every datum with D, so that the midpoints are integers
+        D, cx, cy, cv = 2 * D, 2 * cx, 2 * cy, [2 * v for v in cv]
+        ring = [[2 * s for s in r] for r in ring]
         i = wide[0]
         ring[i:i + 1] = [mid(ring[i - 1], ring[i]), ring[i], mid(ring[i], ring[(i + 1) % n])]
 
-    def plane(a, den):
-        # the affine function p -> cross(a, p - c) / den
-        return -a[1] / den, a[0] / den, (a[1] * cx - a[0] * cy) / den
+    def plane(a):
+        # numerators of the affine function p -> cross(a, p - c) / den over
+        # sign D^2 den, for a and den stored as D and D^2 times their values;
+        # sign den > 0, so no coefficient rounds to -0.0
+        return [sign * s for s in (-a[1] * D, a[0] * D, a[1] * cx - a[0] * cy)]
 
     right, diff = [], []
     for i, u in enumerate(ring):
         prev, nxt = ring[i - 1], ring[(i + 1) % n]
-        lr = plane([-nxt[0], -nxt[1]], cross(u, nxt))
-        ll = plane(prev, cross(prev, u))
-        right.append(lr)
-        diff.append([a - b for a, b in zip(lr, ll)])
-    vertices = [[cx, cy]] + [[r[0] + cx, r[1] + cy] for r in ring]
+        den_r, den_l = sign * cross(u, nxt), sign * cross(prev, u)
+        lr, ll = plane([-nxt[0], -nxt[1]]), plane(prev)
+        right.append([a / den_r for a in lr])
+        diff.append([(a * den_l - b * den_r) / (den_r * den_l) for a, b in zip(lr, ll)])
     return PlanarCpwlField(
-        vertices=np.array(vertices, dtype=float),
-        values=np.array([cv] + [r[2:] for r in ring], dtype=float),
-        hat_planes=np.array(right + diff, dtype=float),
-        weights=np.array([[v - w for v, w in zip(r[2:], cv)] for r in ring], dtype=float))
+        vertices=np.array([[cx / D, cy / D]] + [[(r[0] + cx) / D, (r[1] + cy) / D]
+                                                for r in ring]),
+        values=np.array([[v / D for v in r] for r in [cv] + [r[2:] for r in ring]]),
+        hat_planes=np.array(right + diff),
+        weights=np.array([[(v - w) / D for v, w in zip(r[2:], cv)] for r in ring]))
 
 
 def lower_planar_field(*fields: PlanarCpwlField) -> ReluNetwork:

@@ -47,20 +47,20 @@ def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
     p = op.p
     nets = [compile_homogeneous(op, c, k).net for c, k in jobs]
     # serial accumulation over jobs: state (t, acc)
-    cur = affine_net(np.vstack([np.ones((1, 1)), np.zeros((p, 1))]),
-                     np.zeros(1 + p))
+    start = affine_net(np.vstack([np.ones((1, 1)), np.zeros((p, 1))]),
+                       np.zeros(1 + p))
+    W = np.zeros((1 + p, 1 + 2 * p))
+    W[0, 0] = 1.0
+    W[1:, 1:] = np.hstack([np.eye(p)] * 2)
+    stages = []
     for net in nets:
         d = net.depth
         stage = stack_nets(
             [passthrough(1, "general", d), passthrough(p, "general", d), net],
             [[0], list(range(1, 1 + p)), [0]], 1 + p)
-        W = np.zeros((1 + p, 1 + 2 * p))
-        W[0, 0] = 1.0
-        W[1:, 1:1 + p] = np.eye(p)
-        W[1:, 1 + p:] = np.eye(p)
-        cur = serial(cur, post_affine(stage, W, np.zeros(1 + p)))
+        stages.append(post_affine(stage, W, np.zeros(1 + p)))
     Wout = np.hstack([np.zeros((p, 1)), np.eye(p)])
-    net = post_affine(cur, Wout, np.zeros(p))
+    net = post_affine(serial(start, *stages), Wout, np.zeros(p))
     return CompiledIterate(net, n, "affine", {"jobs": len(jobs)})
 
 

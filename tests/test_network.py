@@ -164,7 +164,21 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         serial(identity_net(2), identity_net(3))
     with pytest.raises(ValueError):
+        serial(passthrough(2, "general", 1), lower_scalar_cpwl(hat(0.0, 0.5, 1.0)))
+    with pytest.raises(ValueError):
         ReluNetwork(1, [Layer(np.eye(2), np.zeros(2), "relu")])
+    for lay in [Layer(np.ones((2, 1)), np.zeros(3), "relu"),
+                Layer(np.ones((2, 1, 1)), np.zeros(2), "relu"),
+                Layer(np.ones((2, 1)), np.zeros(2), "tanh")]:
+        with pytest.raises(ValueError):
+            ReluNetwork(1, [lay])
+    net = passthrough(2, "general", 1)       # 2 -> 2
+    for W, b in [(np.ones((1, 3)), np.zeros(1)), (np.ones((1, 2)), np.zeros(2))]:
+        with pytest.raises(ValueError):
+            post_affine(net, W, b)
+    for W, b in [(np.ones((3, 1)), np.zeros(3)), (np.ones((2, 1)), np.zeros(3))]:
+        with pytest.raises(ValueError):
+            pre_affine(net, W, b)
 
 
 def _csr_layers(net):
@@ -253,6 +267,108 @@ def stacked_nets(draw):
         slices.append(sl)
     with mock.patch.object(network, "_SPARSE_MIN_SIZE", draw(st.integers(1, 400))):
         return stack_nets(nets, slices, d), rng
+
+
+def _layer_bytes(l):
+    W = l.weights
+    if sparse.issparse(W):
+        W = (W.shape, W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes())
+    else:
+        W = (W.shape, W.dtype, W.tobytes())
+    return type(l.weights), W, l.bias.dtype, l.bias.tobytes(), l.activation
+
+
+def _same_layers(net, layers):
+    """``net``'s layers are bitwise those of ``ReluNetwork(d, layers)``."""
+    want = ReluNetwork(net.input_dim, layers).layers
+    return [_layer_bytes(l) for l in net.layers] == [_layer_bytes(l) for l in want]
+
+
+@st.composite
+def chains(draw):
+    """1-4 nets with matching seams: random nets with CSR layers, depth-0
+    affine nets (so that consecutive seams fold into each other) and
+    stack_nets with CSR joint layers."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    nets = []
+    for d, e in zip(dims, dims[1:]):
+        kind = draw(st.sampled_from(["affine", "random", "stack"]))
+        if kind == "affine":
+            nets.append(affine_net(rng.normal(size=(e, d)), rng.normal(size=e)))
+            continue
+        widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)) + [e]
+        if kind == "stack":
+            # two branches on the whole input, their outputs summed
+            parts = [_random_net(rng, d, widths[:rng.integers(1, len(widths) + 1)] + [e])
+                     for _ in range(2)]
+            with mock.patch.object(network, "_SPARSE_MIN_SIZE", 8):
+                net = stack_nets(parts, [range(d)] * 2, d)
+            nets.append(post_affine(net, np.hstack([np.eye(e)] * 2), np.zeros(e)))
+        else:
+            nets.append(_random_net(rng, d, widths))
+    return nets, rng
+
+
+def _random_net(rng, d, widths):
+    layers, prev = [], d
+    for i, w in enumerate(widths):
+        W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.6)
+        if rng.uniform() < 0.3:
+            W = sparse.csr_matrix(W)
+        act = "linear" if i == len(widths) - 1 else "relu"
+        layers.append(Layer(W, rng.normal(size=w) * (rng.uniform(size=w) < 0.5), act))
+        prev = w
+    return ReluNetwork(d, layers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains())
+def test_composition_folds_only_at_seams(chain):
+    nets, rng = chain
+    all_layers = [l for n in nets for l in n.layers]
+    joined = serial(*nets)
+    assert _same_layers(joined, all_layers)
+    # every layer off a seam is the input's own Layer object
+    start = 0
+    for i, net in enumerate(nets):
+        last = len(net.layers) - (i < len(nets) - 1)
+        assert all(joined.layers[start + j] is net.layers[j]
+                   for j in range(1 if i else 0, last))
+        start += len(net.layers) - 1
+    net = nets[0]
+    W, b = rng.normal(size=(3, net.output_dim)), rng.normal(size=3)
+    post = post_affine(net, W, b)
+    assert _same_layers(post, [*net.layers, Layer(W, b, "linear")])
+    assert all(a is b for a, b in zip(post.layers[:-1], net.layers[:-1]))
+    W, b = rng.normal(size=(net.input_dim, 2)), rng.normal(size=net.input_dim)
+    pre = pre_affine(net, W, b)
+    assert pre.input_dim == 2
+    assert _same_layers(pre, [Layer(W, b, "linear"), *net.layers])
+    assert all(a is b for a, b in zip(pre.layers[1:], net.layers[1:]))
+    with mock.patch.object(network, "_SPARSE_MIN_SIZE", rng.integers(1, 20)):
+        stacked = stack_nets(nets, [range(n.input_dim) for n in nets],
+                             max(n.input_dim for n in nets))
+    assert _same_layers(stacked, stacked.layers)
+
+
+def test_save_network_skips_block_split(tmp_path):
+    net = stack_nets([passthrough(2, "general", 2), lower_scalar_cpwl(hat(0.0, 0.5, 1.0))],
+                     [[0, 1], [0]], 2)
+    with mock.patch.object(network, "_diagonal_blocks",
+                           wraps=network._diagonal_blocks) as split:
+        network.save_network(net, str(tmp_path / "net.json"), builder="test")
+        assert split.call_count == 0
+        back = network.load_network(str(tmp_path / "net.json"))
+        assert split.call_count == 0
+        net_stats(net)
+        assert split.call_count == 1
+    meta = to_json_dict(net)["meta"]
+    assert {k: meta[k] for k in ("width", "depth", "coeff_max")} == \
+        {k: net_stats(net)[k] for k in ("width", "depth", "coeff_max")}
+    x = np.random.default_rng(7).normal(size=(5, 2))
+    assert np.array_equal(back(x), net(x))
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from refinet.loop import embed
 from refinet.planar import fan_field, lower_planar_field
@@ -88,26 +90,114 @@ def _exact_plane(pts, vals):
     return a, b, z0 - a * x0 - b * y0
 
 
-def test_fan_planes_exact_on_rational_data():
-    # an affine function sampled at rational vertices that float64 cannot
-    # hold: the hat planes and readout weights the lowering reads must be
-    # the exact ones, each rounded once
+def _exact_ring(center, ring):
+    """``ring`` (rows x, y, values...) after fan_field's midpoint insertion,
+    in Fractions: split the edges at the first vertex whose wedge is pi or
+    wider, until none is."""
+    def cross(a, b):
+        return ((a[0] - center[0]) * (b[1] - center[1])
+                - (a[1] - center[1]) * (b[0] - center[0]))
+
+    def mid(a, b):
+        return [(s + t) / 2 for s, t in zip(a, b)]
+
+    sign = 1 if cross(ring[0], ring[1]) > 0 else -1
+    while True:
+        n = len(ring)
+        wide = [i for i in range(n) if sign * cross(ring[i - 1], ring[(i + 1) % n]) <= 0]
+        if not wide:
+            return ring
+        i = wide[0]
+        ring[i:i + 1] = [mid(ring[i - 1], ring[i]), ring[i], mid(ring[i], ring[(i + 1) % n])]
+
+
+def _as_kind(x: Fraction, kind):
+    if kind == "fraction":
+        return x
+    if kind == "float":
+        return float(x)
+    return np.longdouble(x.numerator) / np.longdouble(x.denominator)
+
+
+@st.composite
+def rational_rings(draw):
+    """(center, center value, ring, ring values) on a star-shaped ring of
+    3-9 points, with denominators 3 M^(n+1) or 2^k, each datum a Fraction,
+    a float64 or a long double (rounded from the rational it is drawn as)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        q = 3 * draw(st.integers(2, 16)) ** (draw(st.integers(0, 16)) + 1)
+    else:
+        q = 2 ** draw(st.integers(0, 60))
+    kinds = draw(st.lists(st.sampled_from(["fraction", "float", "long"]),
+                          min_size=3, max_size=3))
+    d = draw(st.integers(1, 2))
+
+    def num(scale=1):
+        return Fraction(rng.randrange(-scale * q, scale * q + 1), q)
+
+    center = [num(), num()]
+    pts = {}
+    for _ in range(draw(st.integers(3, 9))):
+        p = (center[0] + num(4), center[1] + num(4))
+        ang = math.atan2(p[1] - center[1], p[0] - center[0])
+        pts.setdefault(ang, p)
+    ring = [pts[a] for a in sorted(pts)]
+    u = [(x - center[0], y - center[1]) for x, y in ring]
+    # a star-shaped fan: every triangle (c, v_i, v_{i+1}) turns the same way
+    assume(len(u) >= 3 and all(u[i - 1][0] * u[i][1] - u[i - 1][1] * u[i][0] > 0
+                               for i in range(len(u))))
+    center = [_as_kind(x, kinds[0]) for x in center]
+    ring = [[_as_kind(x, kinds[1]) for x in p] for p in ring]
+    cval = [_as_kind(num(), kinds[2]) for _ in range(d)]
+    vals = [[_as_kind(num(), kinds[2]) for _ in range(d)] for _ in ring]
+    return center, cval, ring, vals
+
+
+def _triangle_ring():
+    # an affine function sampled at rational vertices of the triangle loop
+    # that float64 cannot hold; no midpoint is needed
     ts = [Fraction(j, 21) for j in range(21)]
     bpts = [(3 * t, 3 * t) if t <= Fraction(1, 3) else
             (1, 2 - 3 * t) if t <= Fraction(2, 3) else (3 - 3 * t, 0) for t in ts]
     f = lambda p: [3 * p[0] - 2 * p[1] + Fraction(1, 4)]
     center = (Fraction(2, 3), Fraction(1, 3))
-    field = fan_field(center, f(center), bpts, [f(p) for p in bpts])
-    n = len(bpts)
-    assert field.hat_planes.shape == (2 * n, 3)   # no midpoint was needed
+    return center, f(center), bpts, [f(p) for p in bpts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rings())
+@example(_triangle_ring())
+# a square around the center: every wedge is exactly pi, so midpoints go in
+@example(((0.5, 0.5), [1], [(1.5, 0.5), (0.5, 1.5), (-0.5, 0.5), (0.5, -0.5)],
+          [[Fraction(1, 3)], [2], [Fraction(-5, 7)], [0]]))
+def test_fan_planes_exact_on_rational_data(data):
+    # the hat planes, readout weights, values and vertices the lowering
+    # reads must be the exact ones, each rounded once
+    center, cval, pts, vals = data
+    field = fan_field(center, cval, pts, vals)
+
+    def exact(v):
+        return Fraction(*v.as_integer_ratio())
+
+    c = [exact(v) for v in center]
+    cv = [exact(v) for v in cval]
+    ring = _exact_ring(c, [[*map(exact, p), *map(exact, v)] for p, v in zip(pts, vals)])
+    n = len(ring)
+
+    def rounded(xs):
+        return np.array([float(x) for x in xs]).tobytes()
+
+    assert field.hat_planes.shape == (2 * n, 3)
+    assert field.vertices.tobytes() == rounded([x for r in [c] + ring for x in r[:2]])
+    assert field.values.tobytes() == rounded([x for r in [c + cv] + ring for x in r[2:]])
     for i in range(n):
-        prev, v, nxt = bpts[i - 1], bpts[i], bpts[(i + 1) % n]
-        lr = _exact_plane([center, v, nxt], [0, 1, 0])
-        ll = _exact_plane([center, prev, v], [0, 0, 1])
-        assert list(field.hat_planes[i]) == [float(c) for c in lr]
-        assert list(field.hat_planes[n + i]) == [float(a - b) for a, b in zip(lr, ll)]
-        assert field.weights[i, 0] == float(f(v)[0] - f(center)[0])
-    assert field.values[0, 0] == float(f(center)[0])
+        prev, v, nxt = ring[i - 1][:2], ring[i][:2], ring[(i + 1) % n][:2]
+        lr = _exact_plane([c, v, nxt], [0, 1, 0])
+        ll = _exact_plane([c, prev, v], [0, 0, 1])
+        assert field.hat_planes[i].tobytes() == rounded(lr)
+        assert field.hat_planes[n + i].tobytes() == rounded([a - b for a, b in zip(lr, ll)])
+        assert field.weights[i].tobytes() == rounded([a - b for a, b in zip(ring[i][2:], cv)])
 
 
 @settings(max_examples=200, deadline=None)
