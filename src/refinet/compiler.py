@@ -8,8 +8,9 @@ An atomic curve h(t) e_mu on one support cell is compiled by
     Phi_0 = h(R^n x) e_l,  Phi_j = sum_q Pi_a(chi_q(z_{j-1}), T_q' Phi_{j-1}),
     one branch per output coordinate l; one product gadget per digit q
     gates all branches, since they share the selector chi_q.
-One net per atom group and support cell runs on its shifted input, and
-all of them are summed.
+Each distinct hat h gets one core net at stage n, shared by every shift
+and support cell of h.  One net per (shift, hat) group and cell runs that
+core on its shifted input, and all of them are summed.
 """
 from __future__ import annotations
 
@@ -207,15 +208,18 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
         return CompiledIterate(net, n, "homogeneous", {"terms": 0})
     groups = {}
     for t in terms:
-        key = (t.shift, tuple(t.hat.base.ts), tuple(t.hat.base.vs))
-        groups.setdefault(key, []).append(t)
+        hat_key = (tuple(t.hat.base.ts), tuple(t.hat.base.vs))
+        groups.setdefault((t.shift, hat_key), []).append(t)
     scale = float(op.M) ** (-n)
     # Cell k's net runs on t - k unclamped: E's lowering is constant off
     # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
-    # 0 outside its cell.
-    cell_nets = []
-    for (shift, _, _), ts in groups.items():
-        core = atomic_core_net(op, ts[0].hat, n)
+    # 0 outside its cell.  The core depends on the hat alone, so every
+    # shift and cell of a hat shares one.
+    cores, cell_nets = {}, []
+    for (shift, hat_key), ts in groups.items():
+        if hat_key not in cores:
+            cores[hat_key] = atomic_core_net(op, ts[0].hat, n)
+        core = cores[hat_key]
         for k in range(L):
             Wk = np.zeros((p, pL * pL))
             for t in ts:

@@ -32,7 +32,8 @@ _BLOCK_MERGE = 2
 
 
 def _issparse(W) -> bool:
-    return _sp.issparse(W)
+    # nearly every layer is dense: skip scipy's ABC check for arrays
+    return not isinstance(W, np.ndarray) and _sp.issparse(W)
 
 
 def _as_weights(W):
@@ -259,7 +260,7 @@ def _bias_runs(b):
 
 
 def identity_net(dim: int) -> ReluNetwork:
-    return ReluNetwork(dim, [Layer(np.eye(dim), np.zeros(dim), "linear")])
+    return ReluNetwork._canonical(dim, [Layer(np.eye(dim), np.zeros(dim), "linear")])
 
 
 def affine_net(W, b) -> ReluNetwork:
@@ -300,7 +301,7 @@ def passthrough(dim: int, sign: str = "general", depth: int = 1) -> ReluNetwork:
     if sign == "nonneg":
         layers = [Layer(I, z, "relu") for _ in range(depth)]
         layers.append(Layer(I, z, "linear"))
-        return ReluNetwork(dim, layers)
+        return ReluNetwork._canonical(dim, layers)
     if sign != "general":
         raise ValueError("sign must be 'nonneg' or 'general'")
     z2 = np.zeros(2 * dim)
@@ -310,7 +311,7 @@ def passthrough(dim: int, sign: str = "general", depth: int = 1) -> ReluNetwork:
     for _ in range(depth - 1):
         layers.append(Layer(swap, z2, "relu"))
     layers.append(Layer(np.hstack([I, -I]), z, "linear"))
-    return ReluNetwork(dim, layers)
+    return ReluNetwork._canonical(dim, layers)
 
 
 def extend_depth(net: ReluNetwork, extra: int, sign: str = "general") -> ReluNetwork:

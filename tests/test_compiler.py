@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from refinet.cpwl import CpwlCurve, SpecialHat, SupportError, hat
+from refinet.cpwl import CpwlCurve, ScalarCpwl, SpecialHat, SupportError, hat
 from unittest import mock
 
-from refinet import compiler
+from refinet import compiler, gallery
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
                           selector_fields)
 from refinet.planar import lower_planar_field
+from refinet.reductions import compile_anchored
 from refinet.refinement import RefinementOp, apply_v_n, residual_iterate, vectorize
 
 
@@ -152,3 +153,28 @@ def test_compiled_iterate_keeps_long_double():
     assert hi.dtype == np.longdouble
     assert np.array_equal(hi, ci.net(t[:, None].astype(np.longdouble)))
     assert ci(t).dtype == np.float64
+
+
+def core_builds(build):
+    """``build()``'s result and the number of atomic cores it built."""
+    with mock.patch.object(compiler, "atomic_core_net",
+                           wraps=compiler.atomic_core_net) as core:
+        return build(), core.call_count
+
+
+def test_core_built_once_per_hat():
+    op = RefinementOp(3, 1, 2, {0: [[0.5]], 1: [[0.3]], 2: [[0.4]], 3: [[-0.2]],
+                                4: [[0.6]]})
+    # six nodes of a quarter grid on [0, 2]: one hat on six shifts, two cells
+    ts = np.arange(9) / 4
+    vs = np.array([0.0, 1.0, -0.5, 2.0, 0.0, 0.75, 1.0, 0.5, 0.0])
+    gam = CpwlCurve((ScalarCpwl(ts, vs),), 2)
+    ci, built = core_builds(lambda: compile_homogeneous(op, gam, 2))
+    assert ci.info["groups"] == 6 and built == 1
+    xs = np.linspace(-0.5, 2.5, 901)
+    assert np.max(np.abs(ci(xs)[:, 0] - apply_v_n(op, gam, 2)(xs).ravel())) < 1e-12
+    for name, n, cores in [("heighway", 8, 7), ("koch", 3, 2)]:
+        inst = getattr(gallery, name)()
+        _, built = core_builds(
+            lambda: compile_anchored(inst.op(), None, inst.anchor(), None, n))
+        assert built == cores, name

@@ -284,6 +284,22 @@ def _same_layers(net, layers):
     return [_layer_bytes(l) for l in net.layers] == [_layer_bytes(l) for l in want]
 
 
+def test_issparse_sees_every_sparse_kind():
+    W = np.eye(3)
+    assert not network._issparse(W) and not network._issparse(W.tolist())
+    for kind in [sparse.csr_matrix, sparse.coo_matrix, sparse.lil_matrix,
+                 sparse.csr_array]:
+        assert network._issparse(kind(W))
+
+
+def test_passthrough_is_canonical():
+    for sign in ["nonneg", "general"]:
+        for depth in range(5):
+            for dim in range(1, 5):
+                net = passthrough(dim, sign, depth)
+                assert _same_layers(net, net.layers), (sign, depth, dim)
+
+
 @st.composite
 def chains(draw):
     """1-4 nets with matching seams: random nets with CSR layers, depth-0

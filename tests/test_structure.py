@@ -4,8 +4,10 @@ Depth, width and nonzeros are counted as the benchmark counts them: ReLU
 layers, the widest layer, and the stored entries of CSR layers plus the
 nonzero entries of dense layers.  The fourth count is the weights the
 float64 evaluation plan multiplies per point (``net_stats``'
-``eval_entries``).  A change that grows one of these nets, or the work of
-evaluating it, fails here, before it reaches a benchmark run.
+``eval_entries``).  The compiles the benchmark times are held to a
+ceiling on the atomic cores they build.  A change that grows one of these
+nets, or the work of compiling or evaluating it, fails here, before it
+reaches a benchmark run.
 """
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from refinet.cpwl import CpwlCurve, hat
 from refinet.network import net_stats
 from refinet.reductions import compile_anchored
 from refinet.refinement import RefinementOp
+from test_compiler import core_builds
 from test_network import _reference
 
 
@@ -27,9 +30,14 @@ def structure(net):
             net_stats(net)["eval_entries"])
 
 
-def scalar_deep():
+def scalar_deep(n=16):
     op = RefinementOp(2, 1, 1, {0: [[1.0]], 1: [[1.0]]})
-    return compile_homogeneous(op, CpwlCurve((hat(0.25, 0.5, 0.75),), 1), 16)
+    return compile_homogeneous(op, CpwlCurve((hat(0.25, 0.5, 0.75),), 1), n)
+
+
+def scalar_deep_sweep():
+    """The scalar-deep workload's compile: stages 1..16, as `refinet stats`."""
+    return [scalar_deep(n) for n in range(1, 17)]
 
 
 def anchored(name, n):
@@ -57,3 +65,13 @@ def test_benchmark_nets_match_reference(build):
     assert np.max(np.abs(net(x) - want)) < 1e-12
     lo = x[::7].astype(np.longdouble)
     assert np.max(np.abs(net(lo) - _reference(net, lo))) < 1e-12
+
+
+@pytest.mark.parametrize("build, ceiling", [
+    (scalar_deep_sweep, 16),
+    (lambda: anchored("koch", 3), 2),
+    (lambda: anchored("heighway", 8), 7),
+], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
+def test_benchmark_compiles_within_core_ceiling(build, ceiling):
+    _, built = core_builds(build)
+    assert built <= ceiling, (built, ceiling)
