@@ -11,6 +11,11 @@ An atomic curve h(t) e_mu on one support cell is compiled by
 Each distinct hat h gets one core net at stage n, shared by every shift
 and support cell of h.  One net per (shift, hat) group and cell runs that
 core on its shifted input, and all of them are summed.
+
+Every compile is one assembly, ``compile_jobs``: jobs (curve, k) run one
+after another, each stacking its cell nets once beside the live carries
+(t while a later job reads it, the running sum once an earlier job has
+written it).  A homogeneous compile is the one job and carries nothing.
 """
 from __future__ import annotations
 
@@ -185,7 +190,8 @@ def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
 
 def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
                              n: int) -> ReluNetwork:
-    """Exact net for G_n of the atomic curve h e_mu on the unit cell."""
+    """Exact net for G_n of the atomic curve h e_mu on the unit cell; a
+    reference for ``test_compiler``, which compile does not use."""
     core = atomic_core_net(op, h, n)
     pL = op.p * op.L
     W = np.zeros((pL, pL * pL))
@@ -194,18 +200,13 @@ def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
     return post_affine(core, W, np.zeros(pL))
 
 
-def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
-                        n: int) -> CompiledIterate:
-    """Compile V^n(curve) into an exact ReLU network on the real line."""
+def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
+    """(cells, terms, groups): nets t -> R^p whose sum is V^n(curve).  At
+    power 0 the cell is the curve's own lowering; a zero curve has none."""
     if n == 0:
-        net = lower_curve_1d(curve)
-        return CompiledIterate(net, 0, "homogeneous", {"terms": 0})
-    curve.check_support()
+        return ([lower_curve_1d(curve)] if curve.max_abs() > 0 else []), 0, 0
     terms = decompose_atomic(curve)
     p, L, pL = op.p, op.L, op.p * op.L
-    if not terms:
-        net = affine_net(np.zeros((p, 1)), np.zeros(p))
-        return CompiledIterate(net, n, "homogeneous", {"terms": 0})
     groups = {}
     for t in terms:
         hat_key = (tuple(t.hat.base.ts), tuple(t.hat.base.vs))
@@ -215,7 +216,7 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
     # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
     # 0 outside its cell.  The core depends on the hat alone, so every
     # shift and cell of a hat shares one.
-    cores, cell_nets = {}, []
+    cores, cells = {}, []
     for (shift, hat_key), ts in groups.items():
         if hat_key not in cores:
             cores[hat_key] = atomic_core_net(op, ts[0].hat, n)
@@ -225,11 +226,39 @@ def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
             for t in ts:
                 for r in range(p):
                     Wk[r, (k * p + r) * pL + t.direction] += t.coeff
-            cell_nets.append(pre_affine(post_affine(core, Wk, np.zeros(p)),
-                                        np.array([[1.0]]),
-                                        np.array([-scale * shift - k])))
-    total = stack_nets(cell_nets, [[0]] * len(cell_nets), 1)
-    Wsum = np.hstack([np.eye(p)] * len(cell_nets))
-    net = post_affine(total, Wsum, np.zeros(p))
-    return CompiledIterate(net, n, "homogeneous",
-                           {"terms": len(terms), "groups": len(groups)})
+            cells.append(pre_affine(post_affine(core, Wk, np.zeros(p)),
+                                    np.array([[1.0]]),
+                                    np.array([-scale * shift - k])))
+    return cells, len(terms), len(groups)
+
+
+def compile_jobs(op: RefinementOp, jobs) -> tuple:
+    """(net, info): t -> the sum of V^k(curve) over ``jobs`` [(curve, k)],
+    and the atomic terms and (shift, hat) groups it was built from."""
+    p = op.p
+    built = [_job_cells(op, curve, k) for curve, k in jobs]
+    info = {"terms": sum(b[1] for b in built), "groups": sum(b[2] for b in built)}
+    cells = [b[0] for b in built if b[0]]
+    if not cells:
+        return affine_net(np.zeros((p, 1)), np.zeros(p)), info
+    stages = []
+    for j, cs in enumerate(cells):
+        t_out, acc_in = int(j + 1 < len(cells)), int(j > 0)
+        # the live carries, (width, joint input): t, then the running sum
+        carries = [(1, [0])] * t_out + [(p, list(range(1, 1 + p)))] * acc_in
+        d = max(c.depth for c in cs)
+        nets = [passthrough(k, "general", d) for k, _ in carries] + cs
+        ins = [sl for _, sl in carries] + [[0]] * len(cs)
+        W = np.zeros((t_out + p, t_out + p * (acc_in + len(cs))))
+        W[:t_out, :t_out] = 1.0
+        W[t_out:, t_out:] = np.hstack([np.eye(p)] * (acc_in + len(cs)))
+        stage = stack_nets(nets, ins, 1 + p * acc_in)
+        stages.append(post_affine(stage, W, np.zeros(t_out + p)))
+    return serial(*stages), info
+
+
+def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,
+                        n: int) -> CompiledIterate:
+    """Compile V^n(curve) into an exact ReLU network on the real line."""
+    net, info = compile_jobs(op, [(curve, n)])
+    return CompiledIterate(net, n, "homogeneous", info)

@@ -262,7 +262,8 @@ def decompose_atomic(curve: CpwlCurve) -> list:
 
 
 def reconstruct_atomic(terms, p: int):
-    """Pointwise evaluator for a sum of atomic terms (verification helper)."""
+    """Pointwise evaluator for a sum of atomic terms: the reference that
+    ``test_cpwl`` checks ``decompose_atomic`` against; not compiled."""
     def ev(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (p,))

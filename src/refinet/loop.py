@@ -145,7 +145,8 @@ def build_controller_field(M: int) -> PlanarCpwlField:
 
 def controller_orbit(x: float, n: int, F) -> np.ndarray:
     """z_0 = E(x), z_{j+1} = F(z_j); returns (n+1, 2) at the precision of
-    ``embed`` (long double), so F's output is not rounded back to float64."""
+    ``embed`` (long double), so F's output is not rounded back to float64.
+    A reference orbit for ``test_loop``; compile does not use it."""
     z0 = embed(np.array(x))
     z = np.empty((n + 1, 2), dtype=z0.dtype)
     z[0] = z0
@@ -155,12 +156,14 @@ def controller_orbit(x: float, n: int, F) -> np.ndarray:
 
 
 def readout_minus(epsilon: float) -> ScalarCpwl:
-    """r^-: identity up to 1 - eps, then a steep return to 0 at t = 1."""
+    """r^-: identity up to 1 - eps, then a steep return to 0 at t = 1; a
+    reference for criterion 5 and ``test_loop``, which compile does not use."""
     return ScalarCpwl(np.array([0, 1 - epsilon, 1]), np.array([0, 1 - epsilon, 0]))
 
 
 def readout_plus(epsilon: float) -> ScalarCpwl:
-    """r^+: steep drop from 1 to eps on [0, eps], then the identity."""
+    """r^+: steep drop from 1 to eps on [0, eps], then the identity; a
+    reference for criterion 5 and ``test_loop``, which compile does not use."""
     return ScalarCpwl(np.array([0, epsilon, 1]), np.array([1, epsilon, 1]))
 
 
@@ -178,7 +181,8 @@ def scalar_field(h: SpecialHat, M: int) -> PlanarCpwlField:
 
 
 def min_readout_scalar(h: ScalarCpwl, epsilon: float) -> ScalarCpwl:
-    """min(h(r^-(t)), h(r^+(t))), equal to h on [0, 1] when eps < RHO."""
+    """min(h(r^-(t)), h(r^+(t))), equal to h on [0, 1] when eps < RHO: the
+    reference for ``test_loop::test_min_readout_identity``, not compiled."""
     hm = _compose_scalar(h, readout_minus(epsilon))
     hp = _compose_scalar(h, readout_plus(epsilon))
     return cpwl_combine(hm, hp, "min")
@@ -222,6 +226,8 @@ def selector_scalars(cfg: LoopConfig) -> list:
 
     The outgoing and incoming selectors cross at the midpoint of every
     transition interval; at the seam theta_{M-1}(0) = theta_{M-1}(1) = 1.
+    A reference for the selector tests of ``test_loop``; compile lowers
+    ``selector_fields`` and does not use these.
     """
     return [_knots_cpwl(k) for k in _selector_knots(cfg)]
 

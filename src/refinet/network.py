@@ -314,12 +314,6 @@ def passthrough(dim: int, sign: str = "general", depth: int = 1) -> ReluNetwork:
     return ReluNetwork._canonical(dim, layers)
 
 
-def extend_depth(net: ReluNetwork, extra: int, sign: str = "general") -> ReluNetwork:
-    if extra == 0:
-        return net
-    return serial(net, passthrough(net.output_dim, sign, extra))
-
-
 def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
     """Run several networks side by side on (possibly shared) input slices.
 
@@ -330,7 +324,8 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
     """
     nets = list(nets)
     D = max(n.depth for n in nets)
-    nets = [extend_depth(n, D - n.depth) for n in nets]
+    nets = [n if n.depth == D else
+            serial(n, passthrough(n.output_dim, "general", D - n.depth)) for n in nets]
     cols = [np.asarray(sl, dtype=int) for sl in in_slices]  # joint inputs of each net
     layers, d = [], input_dim
     for li in range(D + 1):

@@ -6,11 +6,12 @@ W_r gamma = V gamma + B_r unrolls to
 
     W_{n-1} .. W_0 gamma = V^n gamma + sum_r V^{n-1-r} B_r,
 
-one homogeneous compile per summand, wired serially with a running
-accumulator.  Anchored profiles Gamma (eventually constant) reduce to a
-compactly supported defect, with Gamma added to the power-0 job;
-finite-state systems stack into one block operator that commutes with
-stacking of the state tuple.
+one job (curve, power) per summand, all built by the compiler's one
+assembly ``compile_jobs``, which runs them serially and carries t and the
+running sum only where they are live.  Anchored profiles Gamma
+(eventually constant) reduce to a compactly supported defect, with Gamma
+added to the power-0 job; finite-state systems stack into one block
+operator that commutes with stacking of the state tuple.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from .cpwl import (CpwlCurve, ScalarCpwl, SupportError, curve_add,
                    curve_scale, merge_grids, zero_curve)
-from .compiler import CompiledIterate, compile_homogeneous
-from .network import affine_net, passthrough, post_affine, serial, stack_nets
+from .compiler import CompiledIterate, compile_jobs
 from .refinement import RefinementOp, apply_v
 
 
@@ -44,23 +44,7 @@ def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
     """Compile the stage-dependent iterate W_{n-1}..W_0 gamma, where
     ``forcing(r)`` is the curve B_r."""
     jobs = expand_stage_iterate(op, gamma, forcing, n)
-    p = op.p
-    nets = [compile_homogeneous(op, c, k).net for c, k in jobs]
-    # serial accumulation over jobs: state (t, acc)
-    start = affine_net(np.vstack([np.ones((1, 1)), np.zeros((p, 1))]),
-                       np.zeros(1 + p))
-    W = np.zeros((1 + p, 1 + 2 * p))
-    W[0, 0] = 1.0
-    W[1:, 1:] = np.hstack([np.eye(p)] * 2)
-    stages = []
-    for net in nets:
-        d = net.depth
-        stage = stack_nets(
-            [passthrough(1, "general", d), passthrough(p, "general", d), net],
-            [[0], list(range(1, 1 + p)), [0]], 1 + p)
-        stages.append(post_affine(stage, W, np.zeros(1 + p)))
-    Wout = np.hstack([np.zeros((p, 1)), np.eye(p)])
-    net = post_affine(serial(start, *stages), Wout, np.zeros(p))
+    net, _ = compile_jobs(op, jobs)
     return CompiledIterate(net, n, "affine", {"jobs": len(jobs)})
 
 
@@ -89,8 +73,9 @@ def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
 
 def anchor_power0(gamma: CpwlCurve, forcing, n: int, Gamma: CpwlCurve):
     """(gamma, forcing) with Gamma added to the power-0 job: to B_{n-1},
-    or to gamma itself when n = 0.  That job is lowered as one hidden layer,
-    so Gamma rides in the accumulator of ``compile_affine``."""
+    or to gamma itself when n = 0.  That job's one cell is its curve's
+    one-hidden-layer lowering, added to the running sum in the last stage
+    of ``compile_jobs``, so Gamma needs no branch of its own."""
     if n == 0:
         return curve_add(gamma, Gamma), forcing
     return gamma, lambda r: (curve_add(forcing(r), Gamma) if r == n - 1

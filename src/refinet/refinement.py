@@ -9,7 +9,6 @@ mask index satisfies 0 <= j <= (M - 1) * L.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .cpwl import (CpwlCurve, DegenerateDilationError, ScalarCpwl,
                    SupportError, merge_grids)
 
 SNAP_TOL = 1e-12
-DEFAULT_BREAKPOINT_CAP = 10_000_000
+BREAKPOINT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -162,35 +161,19 @@ def apply_v(op: RefinementOp, curve: CpwlCurve) -> CpwlCurve:
     return CpwlCurve(comps, curve.L)
 
 
-def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int,
-              cap: int = None) -> CpwlCurve:
-    """n-fold application of the operator (the direct-recursion oracle)."""
-    cap = breakpoint_cap() if cap is None else cap
-    est = estimated_breakpoints(op, curve, n)
-    if est > cap:
-        raise SupportError(
-            f"direct recursion would need about {est} breakpoints, "
-            f"above the cap {cap} (set REFINET_MAX_BREAKPOINTS to override)")
+def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int) -> CpwlCurve:
+    """n-fold application of the operator (the direct-recursion oracle);
+    refuses a stage whose breakpoint estimate exceeds ``BREAKPOINT_CAP``."""
+    est = max(c.ts.size for c in curve.components)
+    for _ in range(n):
+        est *= max(len(op.mask), 1)
+        if est > BREAKPOINT_CAP:
+            raise SupportError(f"direct recursion would need more than "
+                               f"{BREAKPOINT_CAP} breakpoints")
     out = curve
     for _ in range(n):
         out = apply_v(op, out)
     return out
-
-
-def breakpoint_cap() -> int:
-    env = os.environ.get("REFINET_MAX_BREAKPOINTS")
-    return int(float(env)) if env else DEFAULT_BREAKPOINT_CAP
-
-
-def estimated_breakpoints(op: RefinementOp, curve: CpwlCurve, n: int) -> int:
-    k = max(c.ts.size for c in curve.components)
-    m = max(len(op.mask), 1)
-    est = k
-    for _ in range(n):
-        est = est * m
-        if est > 10 * DEFAULT_BREAKPOINT_CAP:
-            return est
-    return est
 
 
 def vectorize(curve: CpwlCurve):

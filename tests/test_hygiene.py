@@ -1,14 +1,16 @@
 """Every module of the package (bar ``__init__``, which re-exports) and of
-the tests uses every name it imports."""
+the tests uses every name it imports, and no module of the package reads
+the environment: the library's behaviour is set by its arguments alone."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in [*(ROOT / "src" / "refinet").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "refinet").glob("*.py"))
+MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +35,30 @@ def test_unused_imports_found():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list:
+    """Lines that read ``os.environ`` or call ``os.getenv``, directly or
+    through names imported from ``os``."""
+    tree = ast.parse(source)
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in ENV_READERS for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_reads_found():
+    src = ("import os\nfrom os import getenv\nx = os.environ.get('A')\n"
+           "y = os.getenv('B')\nz = os.path.join('a', 'b')\n")
+    assert environment_reads(src) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_reads_no_environment(path):
+    assert environment_reads(path.read_text()) == []

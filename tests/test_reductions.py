@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from refinet.cpwl import CpwlCurve, SupportError, curve_add, hat, zero_curve
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
                              heighway, koch, polygonal_oracle, straight_anchor)
+from refinet.compiler import compile_homogeneous
 from refinet.reductions import (anchor_mismatch, compile_affine,
                                 compile_anchored, expand_stage_iterate,
                                 iterate_w, stack_curves, stack_system)
@@ -45,6 +47,24 @@ def test_affine_depth_quadratic():
               for n in range(2, 7)]
     second = np.diff(np.diff(depths))
     assert np.all(second == second[0])
+
+
+def layer_bytes(net):
+    """Each layer as (activation, format, shape, weight bytes, bias bytes)."""
+    return [(l.activation, sparse.issparse(l.weights), l.weights.shape,
+             (l.weights.toarray() if sparse.issparse(l.weights) else l.weights).tobytes(),
+             l.bias.tobytes()) for l in net.layers]
+
+
+def test_affine_single_job_is_homogeneous():
+    # zero forcing leaves V^n gamma the one job with cells: no carries, so
+    # the net is the homogeneous compile's, bit for bit
+    op = koch().op()
+    gam = CpwlCurve((hat(0.25, 0.5, 0.75), hat(0.3, 0.45, 0.7, height=-0.5)), op.L)
+    for n in [1, 2, 3]:
+        ci = compile_affine(op, gam, lambda r: zero_curve(op.p, op.L), n)
+        assert ci.info["jobs"] == n + 1
+        assert layer_bytes(ci.net) == layer_bytes(compile_homogeneous(op, gam, n).net)
 
 
 def test_anchor_mismatch_compact():

@@ -5,15 +5,18 @@ layers, the widest layer, and the stored entries of CSR layers plus the
 nonzero entries of dense layers.  The fourth count is the weights the
 float64 evaluation plan multiplies per point (``net_stats``'
 ``eval_entries``).  The compiles the benchmark times are held to a
-ceiling on the atomic cores they build.  A change that grows one of these
+ceiling on the atomic cores they build, and on the rows of the joint
+layers that the compiler stacks.  A change that grows one of these
 nets, or the work of compiling or evaluating it, fails here, before it
 reaches a benchmark run.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from refinet import gallery
+from refinet import compiler, gallery, network
 from refinet.compiler import compile_homogeneous
 from refinet.cpwl import CpwlCurve, hat
 from refinet.network import net_stats
@@ -47,8 +50,8 @@ def anchored(name, n):
 
 @pytest.mark.parametrize("build, ceiling", [
     (scalar_deep, (99, 20, 3779, 14038)),
-    (lambda: anchored("koch", 3), (25, 186, 8398, 53973)),
-    (lambda: anchored("heighway", 8), (190, 96, 34964, 150556)),
+    (lambda: anchored("koch", 3), (25, 186, 8274, 52693)),
+    (lambda: anchored("heighway", 8), (190, 96, 34600, 148570)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
@@ -75,3 +78,31 @@ def test_benchmark_nets_match_reference(build):
 def test_benchmark_compiles_within_core_ceiling(build, ceiling):
     _, built = core_builds(build)
     assert built <= ceiling, (built, ceiling)
+
+
+def stacked_rows(build):
+    """Rows of the joint layers that the compiler's own ``stack_nets`` calls
+    build while ``build()`` compiles from cold caches."""
+    rows = []
+
+    def stack(*args):
+        net = network.stack_nets(*args)
+        rows.append(sum(l.weights.shape[0] for l in net.layers))
+        return net
+
+    for val in vars(compiler).values():
+        if hasattr(val, "cache_clear"):
+            val.cache_clear()
+    with mock.patch.object(compiler, "stack_nets", stack):
+        build()
+    return sum(rows)
+
+
+@pytest.mark.parametrize("build, ceiling", [
+    (scalar_deep_sweep, 13760),
+    (lambda: anchored("koch", 3), 2888),
+    (lambda: anchored("heighway", 8), 12894),
+], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
+def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
+    rows = stacked_rows(build)
+    assert rows <= ceiling, (rows, ceiling)
