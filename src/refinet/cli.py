@@ -245,8 +245,7 @@ def main(argv=None):
                      ("stats", cmd_stats)]:
         sp = sub.add_parser(name)
         sp.add_argument("--spec", help="operator spec JSON file")
-        sp.add_argument("--example", help="named gallery instance",
-                        choices=None)
+        sp.add_argument("--example", help="named gallery instance")
         sp.add_argument("--stage", type=int, default=2)
         sp.add_argument("--mode", default="anchored",
                         choices=["homogeneous", "affine", "anchored"])

@@ -5,9 +5,10 @@ An atomic curve h(t) e_mu on one support cell is compiled by
     loop field H with H(E(t)) = h(t), with E(x) carried alongside,
   * a second controller pass, restarted from the carried E(x), driving
     selector-gated transition blocks:
-    Phi_0 = h(R^n x) e_l,  Phi_j = sum_q Pi_a(chi_q(z_{j-1}), T_q' Phi_{j-1}),
-    one branch per output coordinate l; one product gadget per digit q
-    gates all branches, since they share the selector chi_q.
+    Phi_0 = h(R^n x) e_l,  Phi_j = sum_q T_q' Pi_a(chi_q(z_{j-1}), Phi_{j-1}),
+    one branch per output coordinate l; a one-layer gate per digit q
+    gates all branches, since they share the selector chi_q, and the
+    transitions T_q' are applied after it, linearly.
 Each distinct hat h gets one core net at stage n, shared by every shift
 and support cell of h.  One net per (shift, hat) group and cell runs that
 core on its shifted input, and all of them are summed.
@@ -54,7 +55,8 @@ class CompiledIterate:
 
 
 def product_gadget(a: float, N: int) -> ReluNetwork:
-    """Depth-2, width-(2N+1) gate Pi_a(lambda, y).
+    """Depth-1, width-2N gate Pi_a(lambda, y) =
+    ReLU(y - a(1 - lambda)) - ReLU(-y - a(1 - lambda)).
 
     For lambda in [0, 1] and y in [-a, a]^N:
       Pi_a(1, y) = y,  Pi_a(0, y) = 0,  Pi_a(lambda, 0) = 0.
@@ -62,24 +64,9 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
     if a <= 0:
         raise ValueError("gadget bound must be positive")
     I = np.eye(N)
-    # h1 = ReLU(a*lambda - y), h2 = ReLU(-y), h3 = ReLU(lambda)
-    W1 = np.zeros((2 * N + 1, N + 1))
-    W1[:N, 0] = a
-    W1[:N, 1:] = -I
-    W1[N:2 * N, 1:] = -I
-    W1[2 * N, 0] = 1.0
-    l1 = Layer(W1, np.zeros(2 * N + 1), "relu")
-    # carry h1; g = ReLU(a - a*h3 - h2)
-    W2 = np.zeros((2 * N, 2 * N + 1))
-    W2[:N, :N] = I
-    W2[N:, N:2 * N] = -I
-    W2[N:, 2 * N] = -a
-    b2 = np.concatenate([np.zeros(N), a * np.ones(N)])
-    l2 = Layer(W2, b2, "relu")
-    # out = -h1 - g + a
-    W3 = np.hstack([-I, -I])
-    l3 = Layer(W3, a * np.ones(N), "linear")
-    return ReluNetwork(N + 1, [l1, l2, l3])
+    W1 = np.hstack([np.full((2 * N, 1), a), np.vstack([I, -I])])
+    l1 = Layer(W1, np.full(2 * N, -a), "relu")
+    return ReluNetwork(N + 1, [l1, Layer(np.hstack([I, -I]), np.zeros(N), "linear")])
 
 
 @dataclass
@@ -134,6 +121,7 @@ def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
 
 
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
+    """A bound a on |Phi_j| for j < n, as the gates Pi_a need."""
     lam = max(1.0, transition_norm(op))
     return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * lam ** n
 
@@ -142,31 +130,30 @@ def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetw
     """One selector-gated transition update on state (z, Phi).
 
     Phi holds p*L branch vectors of length p*L each (branch-major); the
-    gadget of digit q gates all of them with chi_q.
+    gate of digit q gates all of them with chi_q before T_q' is applied.
     """
-    pL = op.p * op.L
+    M, pL = op.M, op.p * op.L
     B = pL * pL
-    M = op.M
     dchi = assets.net_chi.depth
     # substage 1: (z, Phi) -> (z, c_0..c_{M-1}, Phi)
     sub1 = stack_nets(
         [passthrough(2, "nonneg", dchi), assets.net_chi,
          passthrough(B, "general", dchi)],
         [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
-    # substage 2: controller step in parallel with one gated product per digit
-    gad = product_gadget(a, B)
-    parts = [assets.net_F]
-    for q in range(M):
-        W = np.zeros((B + 1, 2 + M + B))
-        W[0, 2 + q] = 1.0
-        W[1:, 2 + M:] = np.kron(np.eye(pL), block_transition(op, q).T)
-        parts.append(pre_affine(gad, W, np.zeros(B + 1)))
-    sub2 = stack_nets(parts, [[0, 1]] + [list(range(2 + M + B))] * M, 2 + M + B)
-    # collect: z' then Phi' = sum_q gadget(q)
-    Wc = np.zeros((2 + B, sub2.output_dim))
-    Wc[:2, :2] = np.eye(2)
-    Wc[2:, 2:] = np.hstack([np.eye(B)] * M)
-    return serial(sub1, post_affine(sub2, Wc, np.zeros(2 + B)))
+    # substage 2: the controller step beside a one-layer carry of (c, Phi)
+    # feeding the gates, Phi' = sum_q T_q' Pi_a(lambda_q, Phi); lambda_q =
+    # 1 - ReLU(1 - 2 c_q) is exactly 1 for c_q >= 1/2, so open gates are exact
+    I = np.eye(M)
+    sat = ReluNetwork(M, [Layer(-2 * I, np.ones(M), "relu"),
+                          Layer(-I, np.ones(M), "linear")])
+    carry = stack_nets([sat, passthrough(B, "general")],
+                       [list(range(M)), list(range(M, M + B))], M + B)
+    gates = stack_nets([product_gadget(a, B)] * M,
+                       [[q, *range(M, M + B)] for q in range(M)], M + B)
+    T = np.hstack([np.kron(np.eye(pL), block_transition(op, q).T) for q in range(M)])
+    sub2 = stack_nets([assets.net_F, serial(carry, post_affine(gates, T, np.zeros(B)))],
+                      [[0, 1], list(range(2, 2 + M + B))], 2 + M + B)
+    return serial(sub1, sub2)
 
 
 def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
@@ -235,6 +222,8 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
 def compile_jobs(op: RefinementOp, jobs) -> tuple:
     """(net, info): t -> the sum of V^k(curve) over ``jobs`` [(curve, k)],
     and the atomic terms and (shift, hat) groups it was built from."""
+    if any(k < 0 for _, k in jobs):
+        raise ValueError("a stage power must be nonnegative")
     p = op.p
     built = [_job_cells(op, curve, k) for curve, k in jobs]
     info = {"terms": sum(b[1] for b in built), "groups": sum(b[2] for b in built)}

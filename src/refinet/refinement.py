@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpwl import (CpwlCurve, DegenerateDilationError, ScalarCpwl,
-                   SupportError, merge_grids)
+                   SupportError, merge_grids, zero_curve)
 
 SNAP_TOL = 1e-12
 BREAKPOINT_CAP = 10_000_000
@@ -149,7 +149,6 @@ def apply_v(op: RefinementOp, curve: CpwlCurve) -> CpwlCurve:
     js, mats = op.mask_array()
     in_grid = merge_grids(*[c.ts for c in curve.components])
     if not js:
-        from .cpwl import zero_curve
         return zero_curve(op.p, op.L)
     grids = [(in_grid + j) / op.M for j in js]
     ts = merge_grids(*grids)
@@ -163,7 +162,10 @@ def apply_v(op: RefinementOp, curve: CpwlCurve) -> CpwlCurve:
 
 def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int) -> CpwlCurve:
     """n-fold application of the operator (the direct-recursion oracle);
-    refuses a stage whose breakpoint estimate exceeds ``BREAKPOINT_CAP``."""
+    refuses a negative n, and a stage whose breakpoint estimate exceeds
+    ``BREAKPOINT_CAP``."""
+    if n < 0:
+        raise ValueError("a stage power must be nonnegative")
     est = max(c.ts.size for c in curve.components)
     for _ in range(n):
         est *= max(len(op.mask), 1)

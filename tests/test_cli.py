@@ -152,6 +152,14 @@ def test_zero_family_dimension_is_parse_error(capsys):
         assert main(["verify", "--example", name]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["build", "verify"])
+def test_negative_stage_is_precondition_error(cmd, tmp_path, capsys):
+    rc = main([cmd, "--example", "koch", "--stage", "-1",
+               "--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    assert "precondition error" in capsys.readouterr().err
+
+
 def test_missing_source_errors():
     with pytest.raises(SystemExit):
         main(["verify"])

@@ -1,6 +1,8 @@
 """Every module of the package (bar ``__init__``, which re-exports) and of
-the tests uses every name it imports, and no module of the package reads
-the environment: the library's behaviour is set by its arguments alone."""
+the tests uses every name it imports, no function of the package imports
+(its dependencies stand at the top of each module), and no module of the
+package reads the environment: the library's behaviour is set by its
+arguments alone."""
 import ast
 from pathlib import Path
 
@@ -35,6 +37,26 @@ def test_unused_imports_found():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list:
+    """Lines of imports inside a function body."""
+    funcs = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted({n.lineno for f in funcs for n in ast.walk(f)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_imports_found():
+    src = ("import os\n\ndef f():\n    import sys\n"
+           "    def g():\n        from a import b\n    return os\n")
+    assert function_imports(src) == [4, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_imports_at_module_level(path):
+    assert function_imports(path.read_text()) == []
 
 
 def environment_reads(source: str) -> list:
