@@ -134,7 +134,9 @@ def _build(args):
         raise ModeError(f"a {kind} source honours --mode {' or '.join(modes)}, "
                         f"not {args.mode!r}")
     compile_, oracle = modes[args.mode]
-    return compile_(op, src, args.stage), oracle(op, src, args.stage), op
+    # the oracle first: a stage past its breakpoint cap is refused uncompiled
+    want = oracle(op, src, args.stage)
+    return compile_(op, src, args.stage), want, op
 
 
 def _verify_grid(op_M: int, n: int, L: int, g: int):
@@ -220,6 +222,8 @@ def cmd_sample(args):
 
 
 def cmd_stats(args):
+    if args.stage < 1:
+        raise ValueError(f"stats needs --stage >= 1, not {args.stage}")
     rows = []
     for n in range(1, args.stage + 1):
         a2 = argparse.Namespace(**vars(args))

@@ -94,23 +94,24 @@ def _controller_net(M: int) -> ReluNetwork:
 def loop_assets(M: int, n: int) -> LoopAssets:
     """Each field is lowered once per value of what it depends on: the
     embedding on nothing, the controller on M, and the selectors on
-    (M, n).  The scalar field H is lowered once per (M, hat) by
+    (M, n).  The scalar field H is lowered once per hat by
     ``_scalar_net``."""
     return LoopAssets(_embed_net(), _controller_net(M),
                       lower_planar_field(*selector_fields(LoopConfig(M, n))))
 
 
 @lru_cache(maxsize=None)
-def _scalar_net(M: int, ts: tuple, vs: tuple) -> ReluNetwork:
+def _scalar_net(ts: tuple, vs: tuple) -> ReluNetwork:
+    """H, lowered once per hat (ts, vs)."""
     h = SpecialHat(ScalarCpwl(np.array(ts), np.array(vs)))
-    return lower_planar_field(scalar_field(h, M))
+    return lower_planar_field(scalar_field(h))
 
 
 def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
     """x in [0, 1] -> (h(R^n(x)), E(x)), E(x) carried on two nonnegative
     channels."""
     assets = loop_assets(M, n)
-    net_H = _scalar_net(M, tuple(h.base.ts), tuple(h.base.vs))
+    net_H = _scalar_net(tuple(h.base.ts), tuple(h.base.vs))
     # x -> (z, E(x)) with z = E(x)
     start = post_affine(assets.net_E, np.vstack([np.eye(2)] * 2), np.zeros(4))
     step = stack_nets([assets.net_F, passthrough(2, "nonneg", assets.net_F.depth)],

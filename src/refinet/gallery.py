@@ -17,7 +17,7 @@ import numpy as np
 
 from .cpwl import CpwlCurve, ScalarCpwl, curve_add, curve_scale, merge_grids
 from .reductions import FiniteStateSystem
-from .refinement import RefinementOp
+from .refinement import RefinementOp, check_breakpoint_cap
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -143,6 +143,7 @@ def hilbert_rp(p: int) -> PolygonalInstance:
 
 def polygonal_oracle(inst: PolygonalInstance, n: int) -> CpwlCurve:
     """Stage-n endpoint-extended curve via direct vertex recursion."""
+    check_breakpoint_cap(2, inst.M, n)
     pts = inst.chain[[0, -1]].astype(float)  # stage 0: straight segment
     params = np.array([0.0, 1.0])
     for _ in range(n):
@@ -185,6 +186,7 @@ def gosper_stage0() -> list:
 def gosper_oracle(n: int) -> list:
     curves = gosper_stage0()
     sys = gosper_system()
+    check_breakpoint_cap(2, sys.M, n)
     for _ in range(n):
         curves = sys.apply(curves)
     return curves
@@ -269,6 +271,7 @@ class ConnectorInstance:
 
     def oracle(self, n: int) -> CpwlCurve:
         """Stage-n geometric curve by direct copy/connector recursion."""
+        check_breakpoint_cap(2, self.ell, n)
         cur = self.anchor(0)
         M = self.M
         for _ in range(n):

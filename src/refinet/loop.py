@@ -86,28 +86,6 @@ def embed_curve() -> CpwlCurve:
     return CpwlCurve((e1, e2), 1)
 
 
-def _loop_params(M: int, extra=()) -> list:
-    """Loop vertex parameters in [0, 1), as sorted fractions: the points
-    j / (3M), which are the cell endpoints and the pullbacks of the triangle
-    corners under the residual map, the corners among them; and ``extra``."""
-    grid = {Fraction(j, 3 * M) for j in range(3 * M)}
-    return sorted(grid | {t for t in extra if 0 <= t < 1})
-
-
-def _loop_fans(params, columns) -> list:
-    """One fan field per entry of ``columns``: its exact values at the loop
-    vertices E(t), t in ``params``, and 0 at the centroid of the triangle.
-    Loop fields are only read on the loop, so the center value is free, and
-    0 makes every readout weight a loop value.  The fan is solved once for
-    all columns."""
-    cols = [np.asarray(c, dtype=object).reshape(len(params), -1) for c in columns]
-    ends = np.cumsum([0] + [c.shape[1] for c in cols])
-    fan = fan_field((Fraction(2, 3), Fraction(1, 3)), [0] * ends[-1],
-                    [_embed_exact(t) for t in params], np.hstack(cols))
-    return [replace(fan, values=fan.values[:, a:b], weights=fan.weights[:, a:b])
-            for a, b in zip(ends, ends[1:])]
-
-
 def _knots_cpwl(knots) -> ScalarCpwl:
     """The float64 CPwL function through rational ``knots``."""
     return ScalarCpwl(np.array([float(t) for t, _ in knots]),
@@ -127,6 +105,20 @@ def _knots_at(knots, ts) -> list:
     return out
 
 
+def _loop_field(knot_lists) -> PlanarCpwlField:
+    """One fan field whose outputs are the CPwL functions through the
+    rational ``knot_lists``, each [(0, v_0), .., (1, v_k)].  Its boundary
+    vertices are E(t) for t in the corners {0, 1/3, 2/3} and every knot in
+    [0, 1), where each output is exact.  Loop fields are only read on the
+    loop, so the center value is free, and 0 makes every readout weight a
+    loop value."""
+    ts = sorted({Fraction(j, 3) for j in range(3)}
+                | {t for knots in knot_lists for t, _ in knots if t < 1})
+    values = np.array([_knots_at(knots, ts) for knots in knot_lists], dtype=object)
+    return fan_field((Fraction(2, 3), Fraction(1, 3)), [0] * len(knot_lists),
+                     [_embed_exact(t) for t in ts], values.T)
+
+
 @lru_cache(maxsize=None)
 def build_controller_field(M: int) -> PlanarCpwlField:
     """CPwL field F on the triangle with F(E(t)) = E(R(t)).
@@ -139,8 +131,9 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     ``residual_iterate`` rounds.  In float64 (the compiled networks) its
     drift still grows about M^n eps.
     """
-    params = _loop_params(M)
-    return _loop_fans(params, [[_embed_exact(M * t % 1) for t in params]])[0]
+    ts = [Fraction(j, 3 * M) for j in range(3 * M + 1)]
+    images = [_embed_exact(M * t % 1) for t in ts]
+    return _loop_field([list(zip(ts, coord)) for coord in zip(*images)])
 
 
 def controller_orbit(x: float, n: int, F) -> np.ndarray:
@@ -167,17 +160,16 @@ def readout_plus(epsilon: float) -> ScalarCpwl:
     return ScalarCpwl(np.array([0, epsilon, 1]), np.array([1, epsilon, 1]))
 
 
-def scalar_field(h: SpecialHat, M: int) -> PlanarCpwlField:
+def scalar_field(h: SpecialHat) -> PlanarCpwlField:
     """H on the triangle with H(E(t)) = h(t).
 
     h vanishes off [RHO, 1 - RHO], so h(0) = h(1) = 0 agree at the seam
-    E(0) = E(1) and h is a single-valued CPwL function on the loop; H
-    takes h's exact values at the loop vertices, h's breakpoints among them.
+    E(0) = E(1) and h is a single-valued CPwL function on the loop; H sits
+    on the corners and h's breakpoints, so it depends on the hat alone.
     """
     b = h.base
-    knots = [(0, 0), *((Fraction(t), Fraction(v)) for t, v in zip(b.ts, b.vs)), (1, 0)]
-    params = _loop_params(M, [t for t, _ in knots])
-    return _loop_fans(params, [_knots_at(knots, params)])[0]
+    knots = [(Fraction(t), Fraction(v)) for t, v in zip(b.ts, b.vs)]
+    return _loop_field([[(0, 0), *knots, (1, 0)]])
 
 
 def min_readout_scalar(h: ScalarCpwl, epsilon: float) -> ScalarCpwl:
@@ -233,7 +225,8 @@ def selector_scalars(cfg: LoopConfig) -> list:
 
 
 def selector_fields(cfg: LoopConfig) -> list:
-    """chi_q on the triangle with chi_q(E(t)) = theta_q(t)."""
-    knots = _selector_knots(cfg)
-    params = _loop_params(cfg.M, [t for k in knots for t, _ in k])
-    return _loop_fans(params, [_knots_at(k, params) for k in knots])
+    """chi_q on the triangle with chi_q(E(t)) = theta_q(t): one fan on the
+    corners and the selector knots, split into its M columns."""
+    fan = _loop_field(_selector_knots(cfg))
+    return [replace(fan, values=fan.values[:, [q]], weights=fan.weights[:, [q]])
+            for q in range(cfg.M)]

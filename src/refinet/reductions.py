@@ -22,19 +22,23 @@ import numpy as np
 from .cpwl import (CpwlCurve, ScalarCpwl, SupportError, curve_add,
                    curve_scale, merge_grids, zero_curve)
 from .compiler import CompiledIterate, compile_jobs
-from .refinement import RefinementOp, apply_v
+from .refinement import RefinementOp, apply_v, check_breakpoint_cap
 
 
 def iterate_w(op: RefinementOp, gamma: CpwlCurve, forcing, n: int) -> CpwlCurve:
     """Direct oracle: gamma_{r+1} = V gamma_r + B_r, with B_r = forcing(r)."""
+    # each step at most multiplies by len(mask) and adds B_r's breakpoints,
+    # so the iterate stays below (|gamma| + max |B_r|) len(mask)^n
+    size = max(c.ts.size for c in gamma.components) + max(
+        (c.ts.size for r in range(n) for c in forcing(r).components), default=0)
+    check_breakpoint_cap(size, len(op.mask), n)
     cur = gamma
     for r in range(n):
         cur = curve_add(apply_v(op, cur), forcing(r))
     return cur
 
 
-def expand_stage_iterate(op: RefinementOp, gamma: CpwlCurve, forcing,
-                         n: int) -> list:
+def expand_stage_iterate(gamma: CpwlCurve, forcing, n: int) -> list:
     """Homogeneous jobs [(curve, power)] whose V-powers sum to the iterate."""
     return [(gamma, n)] + [(forcing(r), n - 1 - r) for r in range(n)]
 
@@ -43,7 +47,7 @@ def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
                    n: int) -> CompiledIterate:
     """Compile the stage-dependent iterate W_{n-1}..W_0 gamma, where
     ``forcing(r)`` is the curve B_r."""
-    jobs = expand_stage_iterate(op, gamma, forcing, n)
+    jobs = expand_stage_iterate(gamma, forcing, n)
     net, _ = compile_jobs(op, jobs)
     return CompiledIterate(net, n, "affine", {"jobs": len(jobs)})
 

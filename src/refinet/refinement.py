@@ -160,18 +160,24 @@ def apply_v(op: RefinementOp, curve: CpwlCurve) -> CpwlCurve:
     return CpwlCurve(comps, curve.L)
 
 
-def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int) -> CpwlCurve:
-    """n-fold application of the operator (the direct-recursion oracle);
-    refuses a negative n, and a stage whose breakpoint estimate exceeds
-    ``BREAKPOINT_CAP``."""
-    if n < 0:
-        raise ValueError("a stage power must be nonnegative")
-    est = max(c.ts.size for c in curve.components)
+def check_breakpoint_cap(size: int, factor: int, n: int):
+    """Refuse a direct recursion of n steps from ``size`` breakpoints, each
+    step multiplying them by at most ``factor``, whose estimate
+    size * factor^n exceeds ``BREAKPOINT_CAP``."""
+    est = size
     for _ in range(n):
-        est *= max(len(op.mask), 1)
+        est *= max(factor, 1)
         if est > BREAKPOINT_CAP:
             raise SupportError(f"direct recursion would need more than "
                                f"{BREAKPOINT_CAP} breakpoints")
+
+
+def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int) -> CpwlCurve:
+    """n-fold application of the operator (the direct-recursion oracle);
+    refuses a negative n, and a stage past ``check_breakpoint_cap``."""
+    if n < 0:
+        raise ValueError("a stage power must be nonnegative")
+    check_breakpoint_cap(max(c.ts.size for c in curve.components), len(op.mask), n)
     out = curve
     for _ in range(n):
         out = apply_v(op, out)

@@ -193,7 +193,7 @@ def test_criterion_09_stage_dependent_expansion():
     for n in range(1, 5):
         want = iterate_w(op, gam, sched, n)
         acc = zero_curve(1, 1)
-        for c, k in expand_stage_iterate(op, gam, sched, n):
+        for c, k in expand_stage_iterate(gam, sched, n):
             acc = curve_add(acc, apply_v_n(op, c, k))
         worst_exp = max(worst_exp, float(np.max(np.abs(acc(ts) - want(ts)))))
     worst_net = 0.0

@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from refinet import refinement
 from refinet.cli import main, parse_operator_spec, SpecParseError
 from refinet.network import load_network
 
@@ -128,6 +130,23 @@ def test_stats_runs(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "depth" in out
+
+
+@pytest.mark.parametrize("stage", ["0", "-1"])
+def test_stats_below_stage_one_is_precondition_error(stage, capsys):
+    rc = main(["stats", "--example", "levy", "--stage", stage])
+    assert rc == 3
+    assert "precondition error" in capsys.readouterr().err
+
+
+def test_build_past_breakpoint_cap_is_precondition_error(tmp_path, capsys):
+    # koch's oracle estimate 2 * 4^n passes 10^7 at stage 12; with the cap
+    # scaled down to 2 * 4^6 - 1, stage 6 stands in for it
+    out = str(tmp_path / "net.json")
+    with mock.patch.object(refinement, "BREAKPOINT_CAP", 2 * 4 ** 6 - 1):
+        assert main(["build", "--example", "koch", "--stage", "5", "--out", out]) == 0
+        assert main(["build", "--example", "koch", "--stage", "6", "--out", out]) == 3
+    assert "precondition error" in capsys.readouterr().err
 
 
 def test_bad_spec_is_parse_error(tmp_path, capsys):

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from refinet import refinement
+from refinet.cpwl import SupportError
 from refinet.gallery import (NAMED_INSTANCES, get_instance, gosper_oracle,
                              gosper_system, heighway, hilbert_connector,
                              hilbert_rp, hilbert_type, koch, levy,
@@ -112,6 +116,20 @@ def test_hilbert_rp_half_orthogonal():
             U = 2.0 * A
             assert np.max(np.abs(U @ U.T - np.eye(p))) < 1e-12
         inst.check_edges()
+
+
+@pytest.mark.parametrize("oracle, n", [
+    (lambda n: polygonal_oracle(koch(), n), 3),
+    (lambda n: hilbert_connector().oracle(n), 3),
+    (gosper_oracle, 3),
+], ids=["polygonal", "connector", "gosper"])
+def test_oracles_refuse_past_breakpoint_cap(oracle, n):
+    # the estimate 2 * 4^n or 2 * 7^n passes a cap of 100 at stage n, and
+    # the stage below it is still built
+    with mock.patch.object(refinement, "BREAKPOINT_CAP", 100):
+        oracle(n - 1)
+        with pytest.raises(SupportError):
+            oracle(n)
 
 
 def test_named_instances_resolve():

@@ -1,8 +1,8 @@
 """Every module of the package (bar ``__init__``, which re-exports) and of
 the tests uses every name it imports, no function of the package imports
-(its dependencies stand at the top of each module), and no module of the
-package reads the environment: the library's behaviour is set by its
-arguments alone."""
+(its dependencies stand at the top of each module) or takes a parameter it
+never reads, and no module of the package reads the environment: the
+library's behaviour is set by its arguments alone."""
 import ast
 from pathlib import Path
 
@@ -57,6 +57,37 @@ def test_function_imports_found():
                          ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list:
+    """``function.parameter`` for each parameter of a ``def`` (bar ``self``
+    and ``cls``) that its body, nested functions included, never reads."""
+    out = []
+    for f in ast.walk(ast.parse(source)):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        a = f.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(v for v in (a.vararg, a.kwarg) if v)]
+        read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [f"{f.name}.{p.arg}" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")]
+    return sorted(out)
+
+
+def test_unused_parameters_found():
+    src = ("def f(a, b, *c, d, **e):\n    return a + d\n\n"
+           "class K:\n    def m(self, x):\n        def g(y):\n"
+           "            return x\n        return g\n\n"
+           "h = lambda z: 0\n")
+    assert unused_parameters(src) == ["f.b", "f.c", "f.e", "g.y"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_functions_read_every_parameter(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def environment_reads(source: str) -> list:

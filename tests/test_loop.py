@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, hat
-from refinet.loop import (LoopConfig, build_controller_field, controller_orbit,
-                          embed, min_readout_scalar, readout_minus,
-                          readout_plus, scalar_field, selector_fields,
-                          selector_scalars)
+from refinet.loop import (LoopConfig, _selector_knots, build_controller_field,
+                          controller_orbit, embed, min_readout_scalar,
+                          readout_minus, readout_plus, scalar_field,
+                          selector_fields, selector_scalars)
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
 
@@ -143,19 +143,18 @@ def test_scalar_field_reads_the_hat():
         vs = np.concatenate([[0.0], rng.uniform(0.1, 3.0, k - 2), [0.0]])
         hats.append(SpecialHat(ScalarCpwl(ts, vs)))
     ts = rng.uniform(0, 1, 2000)
-    for M in range(2, 8):
-        for h in hats:
-            field = scalar_field(h, M)
-            # exact at every loop vertex: the j/(3M) grid and h's breakpoints
-            params = {Fraction(j, 3 * M) for j in range(3 * M)}
-            params |= {Fraction(t) for t in h.base.ts}
-            for t in params:
-                v = np.array([float(c) for c in _exact_embed(t)])
-                row = np.flatnonzero(np.all(field.vertices == v, axis=1))
-                assert row.size == 1
-                assert field.values[row[0], 0] == float(_exact_interp(h, t))
-            got = lower_planar_field(field)(embed(ts).astype(float))[:, 0]
-            assert np.max(np.abs(got - h(ts))) < 1e-12
+    for h in hats:
+        field = scalar_field(h)
+        # exact at every loop vertex: the corners and h's breakpoints
+        params = {Fraction(j, 3) for j in range(3)}
+        params |= {Fraction(t) for t in h.base.ts}
+        for t in params:
+            v = np.array([float(c) for c in _exact_embed(t)])
+            row = np.flatnonzero(np.all(field.vertices == v, axis=1))
+            assert row.size == 1
+            assert field.values[row[0], 0] == float(_exact_interp(h, t))
+        got = lower_planar_field(field)(embed(ts).astype(float))[:, 0]
+        assert np.max(np.abs(got - h(ts))) < 1e-12
 
 
 def test_selector_conventions():
@@ -202,6 +201,20 @@ def test_selector_fields_match_scalars():
     for th, f in zip(thetas, fields):
         got = f(embed(ts)).ravel()
         assert np.max(np.abs(got - th(ts))) < 1e-12
+
+
+@pytest.mark.parametrize("M, n, rows", [(2, 16, 12), (4, 3, 20), (7, 6, 32)])
+def test_selector_fan_sits_on_corners_and_knots(M, n, rows):
+    # the fan's boundary vertices are E(t) for the corners and the selector
+    # knots in [0, 1), and nothing else: not the controller's grid j/(3M)
+    cfg = LoopConfig(M, n)
+    params = {Fraction(j, 3) for j in range(3)}
+    params |= {t for knots in _selector_knots(cfg) for t, _ in knots if t < 1}
+    want = {tuple(float(c) for c in _exact_embed(t)) for t in params}
+    fields = selector_fields(cfg)
+    ring = fields[0].vertices[1:]
+    assert len(ring) == len(want) and {tuple(v) for v in ring} == want
+    assert lower_planar_field(*fields).layers[0].weights.shape[0] == rows
 
 
 def test_config_validation():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -9,6 +11,7 @@ from refinet.compiler import compile_homogeneous
 from refinet.reductions import (anchor_mismatch, compile_affine,
                                 compile_anchored, expand_stage_iterate,
                                 iterate_w, stack_curves, stack_system)
+from refinet import refinement
 from refinet.refinement import RefinementOp, apply_v, apply_v_n
 
 
@@ -26,9 +29,19 @@ def test_expansion_matches_direct_iteration():
     for n in [1, 2, 3, 4]:
         want = iterate_w(op, gam, sched, n)
         acc = zero_curve(1, 1)
-        for c, k in expand_stage_iterate(op, gam, sched, n):
+        for c, k in expand_stage_iterate(gam, sched, n):
             acc = curve_add(acc, apply_v_n(op, c, k))
         assert np.max(np.abs(acc(ts) - want(ts))) < 1e-10
+
+
+def test_iterate_w_refuses_past_breakpoint_cap():
+    # (3 + 3) breakpoints doubled 5 times pass a cap of 100; the direct
+    # iterate is refused before it runs
+    op, gam, sched = scalar_setup()
+    with mock.patch.object(refinement, "BREAKPOINT_CAP", 100):
+        iterate_w(op, gam, sched, 4)
+        with pytest.raises(SupportError):
+            iterate_w(op, gam, sched, 5)
 
 
 def test_compile_affine_matches_oracle():

@@ -49,9 +49,9 @@ def anchored(name, n):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (99, 20, 3683, 13942)),
-    (lambda: anchored("koch", 3), (25, 138, 7602, 39768)),
-    (lambda: anchored("heighway", 8), (190, 84, 32248, 122278)),
+    (scalar_deep, (99, 18, 3339, 11246)),
+    (lambda: anchored("koch", 3), (25, 138, 6528, 28946)),
+    (lambda: anchored("heighway", 8), (190, 72, 30568, 107244)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
@@ -99,9 +99,9 @@ def stacked_rows(build):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep_sweep, 13648),
-    (lambda: anchored("koch", 3), 2736),
-    (lambda: anchored("heighway", 8), 12418),
+    (scalar_deep_sweep, 12736),
+    (lambda: anchored("koch", 3), 2442),
+    (lambda: anchored("heighway", 8), 11872),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
     rows = stacked_rows(build)
