@@ -176,10 +176,10 @@ def cmd_verify(args):
 
 
 def _curve_points(args):
-    """Sample points of the requested stage curve via the chosen backend."""
+    """Samples on [0, L] of the requested stage curve via the chosen backend."""
     ci, oracle, op = _build(args)
-    res = max(args.grid, 4 * op.M ** args.stage + 1)
-    ts = np.linspace(0.0, 1.0, res)
+    res = max(args.grid, 4 * op.M ** args.stage * op.L + 1)
+    ts = np.linspace(0.0, op.L, res)
     if args.backend == "network":
         return ts, np.asarray(ci(ts))
     return ts, oracle(ts).reshape(res, op.p)
@@ -188,7 +188,8 @@ def _curve_points(args):
 def cmd_render(args):
     ts, pts = _curve_points(args)
     if pts.shape[1] == 1:
-        xy = np.column_stack([ts, pts[:, 0]])
+        # the graph over [0, L], scaled to the unit box's width
+        xy = np.column_stack([ts / ts[-1], pts[:, 0]])
     else:
         xy = pts[:, :2]
     out = args.out or f"{args.example or 'curve'}_{args.stage}.svg"

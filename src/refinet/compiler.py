@@ -27,7 +27,7 @@ import numpy as np
 
 from .cpwl import CpwlCurve, ScalarCpwl, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
-                   scalar_field, selector_fields)
+                   scalar_field, selector_field)
 from .network import (Layer, ReluNetwork, affine_net, lower_curve_1d,
                       net_stats, passthrough, post_affine, pre_affine, serial,
                       stack_nets)
@@ -97,7 +97,7 @@ def loop_assets(M: int, n: int) -> LoopAssets:
     (M, n).  The scalar field H is lowered once per hat by
     ``_scalar_net``."""
     return LoopAssets(_embed_net(), _controller_net(M),
-                      lower_planar_field(*selector_fields(LoopConfig(M, n))))
+                      lower_planar_field(selector_field(LoopConfig(M, n))))
 
 
 @lru_cache(maxsize=None)

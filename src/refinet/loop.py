@@ -9,7 +9,7 @@ away from a small transition set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,38 +45,26 @@ def _delta_n_exact(cfg: LoopConfig) -> Fraction:
 
 
 def embed(t):
-    """E(t): constant-speed-3 walk a0 -> a1 -> a2 -> a0 around the triangle.
+    """E(t): constant-speed-3 walk a0 -> a1 -> a2 -> a0 around the triangle,
+    in float64.
 
-    t is read as float64 (np.longdouble input is kept) and E(t) is returned
-    in np.longdouble.  With a 64-bit significand (``finfo(longdouble).nmant``
-    >= 63, as on x86-64 Linux) 3t, 2 - 3t and 3 - 3t are exact for every
-    float64 t, so E(t) is the exact image of t; in float64 they need up to
-    55 bits, and the controller amplifies that rounding M-fold per step.
+    3t, 2 - 3t and 3 - 3t need up to 55 bits, so E(t) is rounded, and the
+    controller amplifies that rounding M-fold per step; ``_embed_exact``
+    gives the exact image of a rational t.
     """
-    t = np.asarray(t)
-    if t.dtype != np.longdouble:
-        t = t.astype(float, copy=False)
-    t3 = 3 * t.astype(np.longdouble)
-    x = np.empty(t.shape + (2,), dtype=np.longdouble)
-    b1 = t <= 1 / 3
-    b2 = (t > 1 / 3) & (t <= 2 / 3)
-    b3 = t > 2 / 3
-    x[b1, 0] = t3[b1]
-    x[b1, 1] = t3[b1]
-    x[b2, 0] = 1.0
-    x[b2, 1] = 2 - t3[b2]
-    x[b3, 0] = 3 - t3[b3]
-    x[b3, 1] = 0.0
-    return x
+    t3 = 3 * np.asarray(t, dtype=float)
+    return np.stack([np.where(t3 <= 2, np.minimum(t3, 1), 3 - t3),
+                     np.where(t3 <= 1, t3, np.maximum(2 - t3, 0))], axis=-1)
 
 
 def _embed_exact(t: Fraction) -> tuple:
     """E(t) for a rational t in [0, 1)."""
-    if t <= Fraction(1, 3):
-        return 3 * t, 3 * t
-    if t <= Fraction(2, 3):
-        return Fraction(1), 2 - 3 * t
-    return 3 - 3 * t, Fraction(0)
+    s = 3 * t
+    if s <= 1:
+        return s, s
+    if s <= 2:
+        return Fraction(1), 2 - s
+    return 3 - s, Fraction(0)
 
 
 def embed_curve() -> CpwlCurve:
@@ -126,10 +114,10 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     The loop vertices k/M, (3k+1)/(3M), (3k+2)/(3M) and their values are
     rational and the hat planes are solved from them exactly; for M = 2..16
     every hat-plane coefficient is an integer and every readout weight is
-    0 or 1, so the lowered controller's weights are exact.  Iterated in
-    long double from ``embed`` it then follows the exact orbit that
-    ``residual_iterate`` rounds.  In float64 (the compiled networks) its
-    drift still grows about M^n eps.
+    0 or 1, so the lowered controller's weights are exact.  Iterated by
+    ``network.eval_exact`` from an exact E(x) it then follows the exact
+    orbit that ``residual_iterate`` rounds.  In float64 (the compiled
+    networks) its drift grows about M^n eps.
     """
     ts = [Fraction(j, 3 * M) for j in range(3 * M + 1)]
     images = [_embed_exact(M * t % 1) for t in ts]
@@ -137,12 +125,10 @@ def build_controller_field(M: int) -> PlanarCpwlField:
 
 
 def controller_orbit(x: float, n: int, F) -> np.ndarray:
-    """z_0 = E(x), z_{j+1} = F(z_j); returns (n+1, 2) at the precision of
-    ``embed`` (long double), so F's output is not rounded back to float64.
+    """z_0 = E(x), z_{j+1} = F(z_j); returns (n+1, 2) in float64.
     A reference orbit for ``test_loop``; compile does not use it."""
-    z0 = embed(np.array(x))
-    z = np.empty((n + 1, 2), dtype=z0.dtype)
-    z[0] = z0
+    z = np.empty((n + 1, 2))
+    z[0] = embed(np.array(x))
     for j in range(n):
         z[j + 1] = F(z[j])
     return z
@@ -219,14 +205,12 @@ def selector_scalars(cfg: LoopConfig) -> list:
     The outgoing and incoming selectors cross at the midpoint of every
     transition interval; at the seam theta_{M-1}(0) = theta_{M-1}(1) = 1.
     A reference for the selector tests of ``test_loop``; compile lowers
-    ``selector_fields`` and does not use these.
+    ``selector_field`` and does not use these.
     """
     return [_knots_cpwl(k) for k in _selector_knots(cfg)]
 
 
-def selector_fields(cfg: LoopConfig) -> list:
-    """chi_q on the triangle with chi_q(E(t)) = theta_q(t): one fan on the
-    corners and the selector knots, split into its M columns."""
-    fan = _loop_field(_selector_knots(cfg))
-    return [replace(fan, values=fan.values[:, [q]], weights=fan.weights[:, [q]])
-            for q in range(cfg.M)]
+def selector_field(cfg: LoopConfig) -> PlanarCpwlField:
+    """chi on the triangle with chi_q(E(t)) = theta_q(t), q = 0..M-1: one
+    fan on the corners and the selector knots, with M outputs."""
+    return _loop_field(_selector_knots(cfg))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -96,13 +97,13 @@ class ReluNetwork:
     def __init__(self, input_dim: int, layers=()):
         self.input_dim = int(input_dim)
         self.layers = _canon(self.input_dim, list(layers))
-        self._plans = {}
+        self._eval_plan = None
 
     @classmethod
     def _canonical(cls, input_dim: int, layers) -> "ReluNetwork":
         """A network on ``layers`` that are canonical and checked already."""
         net = cls.__new__(cls)
-        net.input_dim, net.layers, net._plans = int(input_dim), tuple(layers), {}
+        net.input_dim, net.layers, net._eval_plan = int(input_dim), tuple(layers), None
         return net
 
     @property
@@ -114,7 +115,7 @@ class ReluNetwork:
         return sum(1 for l in self.layers if l.activation == "relu")
 
     def __call__(self, x):
-        """Evaluate on x of shape (d,) or (N, d).
+        """Evaluate on x of shape (d,) or (N, d), in float64.
 
         Points are evaluated one column each, in chunks whose widest
         activation stays within ``_EVAL_BUDGET`` bytes, so memory is bounded
@@ -122,37 +123,28 @@ class ReluNetwork:
         per call: allocating each activation afresh lets the allocator hand
         pages back and fault them in again on every layer.
 
-        Each layer runs as the steps of an evaluation plan, built on the
-        first call for each input dtype and cached (``_plan``): one matmul
-        per contiguous diagonal block of W, zeros for rows with no weights,
-        and the bias added only on the rows where it is nonzero.  Input is
-        evaluated in float64, except np.longdouble input, which stays in long
-        double; its plan multiplies each layer as one long-double CSR matrix,
-        since numpy has no BLAS for long double and lowered loop fields are
-        mostly zeros.
+        Each layer runs as the steps of the evaluation plan, built on the
+        first call and cached (``_plan``): one matmul per contiguous diagonal
+        block of W, zeros for rows with no weights, and the bias added only
+        on the rows where it is nonzero.  ``eval_exact`` walks the same plan
+        in exact arithmetic.
         """
-        x = np.asarray(x)
-        long = x.dtype == np.longdouble
-        if not long:
-            x = x.astype(float, copy=False)
+        x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
-        plan = self._plan(x.dtype)
+        plan = self._plan()
         widest = max(l.weights.shape[0] for l in self.layers)
         chunk = max(1, _EVAL_BUDGET // (x.itemsize * widest))
-        out = np.empty((x.shape[0], self.output_dim), dtype=x.dtype)
-        bufs = np.empty((2, widest * min(chunk, x.shape[0])), dtype=x.dtype)
+        out = np.empty((x.shape[0], self.output_dim))
+        bufs = np.empty((2, widest * min(chunk, x.shape[0])))
         for s in range(0, x.shape[0], chunk):
             y = x[s:s + chunk].T
             for i, (rows, mats, zeros, biases, relu) in enumerate(plan):
                 buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, -1)
                 for rs, cs, W in mats:
-                    if long:
-                        buf[rs] = W @ y[cs]
-                    else:
-                        np.matmul(W, y[cs], out=buf[rs])
+                    np.matmul(W, y[cs], out=buf[rs])
                 for rs in zeros:
                     buf[rs] = 0.0
                 for rs, b in biases:
@@ -163,30 +155,19 @@ class ReluNetwork:
             out[s:s + chunk] = y.T
         return out[0] if single else out
 
-    def _plan(self, dtype):
-        """The cached evaluation plan for input of ``dtype``: per layer,
-        (rows, [(row slice, column slice, W)], [zero row slices],
-        [(row slice, bias column)], relu)."""
-        dtype = np.dtype(dtype)
-        plan = self._plans.get(dtype)
-        if plan is None:
-            if dtype == np.longdouble:
-                mats = [((slice(None), slice(None),
-                          _sp.csr_matrix(l.weights, dtype=np.longdouble)),)
-                        for l in self.layers]
-                zeros = [()] * len(self.layers)
-            else:
-                blocks = _diagonal_blocks(self.layers)
-                mats = [tuple((slice(r0, r1), slice(c0, c1),
-                               _dense(l.weights[r0:r1, c0:c1]))
-                              for r0, r1, c0, c1 in bs if c1 > c0)
-                        for l, bs in zip(self.layers, blocks)]
-                zeros = [tuple(slice(r0, r1) for r0, r1, c0, c1 in bs if c1 <= c0)
-                         for bs in blocks]
-            plan = self._plans[dtype] = tuple(
-                (l.weights.shape[0], m, z, _bias_runs(l.bias), l.activation == "relu")
-                for l, m, z in zip(self.layers, mats, zeros))
-        return plan
+    def _plan(self):
+        """The cached evaluation plan: per layer, (rows, [(row slice, column
+        slice, W)], [zero row slices], [(row slice, bias column)], relu)."""
+        if self._eval_plan is None:
+            blocks = _diagonal_blocks(self.layers)
+            self._eval_plan = tuple(
+                (l.weights.shape[0],
+                 tuple((slice(r0, r1), slice(c0, c1), _dense(l.weights[r0:r1, c0:c1]))
+                       for r0, r1, c0, c1 in bs if c1 > c0),
+                 tuple(slice(r0, r1) for r0, r1, c0, c1 in bs if c1 <= c0),
+                 _bias_runs(l.bias), l.activation == "relu")
+                for l, bs in zip(self.layers, blocks))
+        return self._eval_plan
 
     def eval_scalar_input(self, t):
         """Convenience for 1-input networks: map array t to (N, out)."""
@@ -257,6 +238,44 @@ def _bias_runs(b):
     edges = np.flatnonzero(nz[1:] != nz[:-1]).tolist()
     return tuple((slice(r0, r1), b[r0:r1, None])
                  for r0, r1 in zip(edges[::2], edges[1::2]))
+
+
+def _dyadic(a: np.ndarray):
+    """Integer numerators n, and the s with a = n / 2**s exactly."""
+    ratios = [v.as_integer_ratio() for v in a.ravel().tolist()]
+    if any(q & (q - 1) for _, q in ratios):
+        raise ValueError("eval_exact reads dyadic rationals only")
+    s = max((q.bit_length() - 1 for _, q in ratios), default=0)
+    return np.array([p << (s + 1 - q.bit_length()) for p, q in ratios],
+                    dtype=object).reshape(a.shape), s
+
+
+def eval_exact(net: ReluNetwork, x) -> np.ndarray:
+    """``net`` at x of shape (d,) or (N, d) in exact arithmetic, as
+    ``Fraction``s: the float network's own function, with no rounding.
+
+    Float64 weights and biases are dyadic rationals, and so must x be.  Each
+    layer carries integer numerators over one power of two, and walks the
+    plan's blocks, multiplying their nonzero weights only, and bias runs.
+    """
+    x = np.asarray(x, dtype=object)
+    if x.shape[-1] != net.input_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != {net.input_dim}")
+    y, s = _dyadic(np.atleast_2d(x).T)
+    for rows, mats, _, biases, relu in net._plan():
+        nz = [np.nonzero(W) for _, _, W in mats]
+        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)] + [b[:, 0] for _, b in biases]
+        nums, a = _dyadic(np.concatenate([np.zeros(0), *vals]))
+        nums = np.split(nums, np.cumsum([v.size for v in vals]))
+        acc = np.zeros((rows, y.shape[1]), dtype=object)
+        for (rs, cs, _), (i, j), w in zip(mats, nz, nums):
+            starts = np.flatnonzero(np.diff(i, prepend=-1))
+            acc[rs][i[starts]] = np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
+        for (rs, _), b in zip(biases, nums[len(mats):]):
+            acc[rs] += b[:, None] << s
+        y, s = (np.maximum(acc, 0) if relu else acc), a + s
+    out = y.T.reshape(x.shape[:-1] + (net.output_dim,))
+    return np.frompyfunc(lambda v: Fraction(v, 1 << s), 1, 1)(out)
 
 
 def identity_net(dim: int) -> ReluNetwork:

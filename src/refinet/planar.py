@@ -9,8 +9,8 @@ ll_i its coordinate in (c, v_{i-1}, v_i), hat_i = ReLU(min(lr_i, ll_i))
 whenever the two triangles at v_i span less than pi at the center, and
 ReLU(min(a, b)) = ReLU(ReLU(a) - ReLU(a - b)) for any a, b: two ReLU
 layers (He, Li, Xu & Zheng, arXiv:1807.03973).  ``fan_field`` inserts
-boundary-edge midpoints until every wedge is below pi, and fields on one
-fan share the hat layers, differing only in the linear readout.
+boundary-edge midpoints until every wedge is below pi, and the outputs of
+a field share the hat layers, differing only in the linear readout.
 """
 from __future__ import annotations
 
@@ -126,16 +126,12 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
         weights=np.array([[(v - w) / D for v, w in zip(r[2:], cv)] for r in ring]))
 
 
-def lower_planar_field(*fields: PlanarCpwlField) -> ReluNetwork:
-    """Exact depth-2 ReLU realization of fields on one fan: a shared layer
-    of hats and one linear readout, the fields' outputs concatenated."""
-    f0 = fields[0]
-    if any(not np.array_equal(f.vertices, f0.vertices) for f in fields):
-        raise ValueError("fields lowered together must share their fan vertices")
-    n = f0.weights.shape[0]
-    P = f0.hat_planes
+def lower_planar_field(field: PlanarCpwlField) -> ReluNetwork:
+    """Exact depth-2 ReLU realization of a fan field: a layer of hats shared
+    by its outputs, and one linear readout."""
+    n = field.weights.shape[0]
+    P = field.hat_planes
     return ReluNetwork(2, [
         Layer(P[:, :2], P[:, 2], "relu"),
         Layer(np.hstack([np.eye(n), -np.eye(n)]), np.zeros(n), "relu"),
-        Layer(np.hstack([f.weights for f in fields]).T,
-              np.concatenate([f.values[0] for f in fields]), "linear")])
+        Layer(field.weights.T, field.values[0], "linear")])

@@ -5,6 +5,7 @@ closed-form oracle; the compiled networks are never used to generate their
 own references.
 """
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,8 +14,9 @@ from refinet.compiler import compile_homogeneous, product_gadget
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
                              heighway, hilbert_connector, hilbert_rp, koch,
                              polygonal_oracle)
-from refinet.loop import (LoopConfig, build_controller_field, embed,
-                          readout_minus, readout_plus, selector_fields)
+from refinet.loop import (LoopConfig, _embed_exact, build_controller_field,
+                          embed, readout_minus, readout_plus, selector_field)
+from refinet.network import eval_exact
 from refinet.planar import lower_planar_field
 from refinet.reductions import (compile_affine, compile_anchored,
                                 expand_stage_iterate, iterate_w, stack_curves,
@@ -76,18 +78,21 @@ def test_criterion_03_geometric_coefficient_growth():
 
 
 def test_criterion_04_loop_controller_exactness():
-    # 1e3 random x, M in {2,3,7}, j <= 12, drift tolerance 1e-6
+    # 1e3 random x, M in {2,3,7}, j <= 12, drift tolerance 1e-6; the lowered
+    # controller runs in exact arithmetic from the exact E(x)
     rng = np.random.default_rng(42)
     xs = rng.uniform(0, 1, 1000)
     worst = {}
     for M in [2, 3, 7]:
         net = lower_planar_field(build_controller_field(M))
-        z = embed(xs)
+        orbits = [residual_iterate(x, M, 12).residuals for x in xs]
+        z = [_embed_exact(Fraction(x)) for x in xs]
         w = 0.0
         for j in range(1, 13):
-            z = net(z)
-            want = embed(np.array([residual_iterate(x, M, j).residuals[-1] for x in xs]))
-            w = max(w, float(np.max(np.abs(z - want))))
+            z = eval_exact(net, z)
+            want = [_embed_exact(Fraction(o[j])) for o in orbits]
+            w = max(w, max((float(abs(a - b)) for zs, ws in zip(z, want)
+                            for a, b in zip(zs, ws) if a != b), default=0.0))
         worst[M] = w
     ok = all(w <= 1e-6 for w in worst.values())
     detail = ", ".join(f"M={M}: {w:.3e}" for M, w in worst.items()) + " tol=1e-6"
@@ -119,9 +124,8 @@ def test_criterion_06_selector_partition_and_indicator():
     worst_ind = 0.0
     for M in [2, 3, 5]:
         cfg = LoopConfig(M, 3)
-        chis = selector_fields(cfg)
         ts = rng.uniform(0, 1, 10_000)
-        vals = np.column_stack([f(embed(ts)).ravel() for f in chis])
+        vals = selector_field(cfg)(embed(ts))
         worst_pu = max(worst_pu, float(np.max(np.abs(vals.sum(axis=1) - 1.0))))
         off = np.mod(ts, 1 / M) > cfg.delta_n
         q = np.floor(M * ts[off]).astype(int)

@@ -125,6 +125,28 @@ def test_render_and_sample(tmp_path):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize("backend", ["oracle", "network"])
+def test_sample_covers_the_whole_support(tmp_path, backend):
+    # an L = 2 curve lives on [0, 2]: its largest value sits past t = 1
+    mask = [{"j": j, "A": [[a]]} for j, a in enumerate([0.5, 1.0, 0.5])]
+    spec = _write_spec(tmp_path, {"M": 2, "p": 1, "L": 2, "mask": mask})
+    csv = tmp_path / "samples.csv"
+    rc = main(["sample", "--spec", spec, "--mode", "homogeneous", "--stage", "2",
+               "--backend", backend, "--out", str(csv)])
+    assert rc == 0
+    t, y = np.loadtxt(csv, delimiter=",", skiprows=1).T
+    assert t[0] == 0 and t[-1] == 2 and t.size == 1000
+    assert np.max(np.abs(y[t > 1])) > 0.6
+    # render draws the same samples, t scaled to the unit box's width
+    svg = tmp_path / "curve.svg"
+    rc = main(["render", "--spec", spec, "--mode", "homogeneous", "--stage", "2",
+               "--backend", backend, "--out", str(svg)])
+    assert rc == 0
+    pts = svg.read_text().split('points="')[1].split('"')[0].split()
+    xy = np.array([p.split(",") for p in pts], dtype=float)
+    assert np.allclose(xy, np.column_stack([t / 2, 1 - y]), atol=1e-8)
+
+
 def test_stats_runs(capsys):
     rc = main(["stats", "--example", "levy", "--stage", "3"])
     assert rc == 0

@@ -8,7 +8,7 @@ from refinet import compiler, gallery
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
-                          selector_fields)
+                          selector_field)
 from refinet.planar import lower_planar_field
 from refinet.reductions import compile_anchored
 from refinet.refinement import (RefinementOp, apply_v_n, cascade_eval,
@@ -51,7 +51,7 @@ def test_scalar_factor_net_tracks_residual():
                          for x in xs])
         assert np.max(np.abs(out[:, 0] - want)) < 1e-9
         # E(x) rides along unchanged
-        assert np.max(np.abs(out[:, 1:] - embed(xs).astype(float))) < 1e-12
+        assert np.max(np.abs(out[:, 1:] - embed(xs))) < 1e-12
 
 
 def _clear_compiler_caches():
@@ -80,7 +80,7 @@ def test_loop_assets_lower_shared_fields_once():
     try:
         with mock.patch.multiple(
                 compiler, build_controller_field=counting("F", build_controller_field),
-                selector_fields=counting("chi", selector_fields)):
+                selector_field=counting("chi", selector_field)):
             sweep = [loop_assets(M, n) for n in range(1, 17)]
     finally:
         _clear_compiler_caches()
@@ -88,8 +88,8 @@ def test_loop_assets_lower_shared_fields_once():
     # the shared fields are the ones a direct lowering gives
     for n, a in enumerate(sweep, start=1):
         assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
-        chis = selector_fields(LoopConfig(M, n))
-        assert _same_net(a.net_chi, lower_planar_field(*chis))
+        chi = selector_field(LoopConfig(M, n))
+        assert _same_net(a.net_chi, lower_planar_field(chi))
 
 
 def test_atomic_unit_interval_net():
@@ -168,15 +168,6 @@ def test_compiled_structure_constant_width():
     assert len(widths) == 1
     diffs = {stats[i + 1]["depth"] - stats[i]["depth"] for i in range(2)}
     assert len(diffs) == 1
-
-
-def test_compiled_iterate_keeps_long_double():
-    ci = compile_homogeneous(scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1), 2)
-    t = np.linspace(-0.5, 1.5, 101)
-    hi = ci(t.astype(np.longdouble))
-    assert hi.dtype == np.longdouble
-    assert np.array_equal(hi, ci.net(t[:, None].astype(np.longdouble)))
-    assert ci(t).dtype == np.float64
 
 
 def core_builds(build):

@@ -2,7 +2,9 @@
 the tests uses every name it imports, no function of the package imports
 (its dependencies stand at the top of each module) or takes a parameter it
 never reads, and no module of the package reads the environment: the
-library's behaviour is set by its arguments alone."""
+library's behaviour is set by its arguments alone.  No module of the package
+names a long-double type: networks evaluate in float64, and exactly through
+``network.eval_exact``."""
 import ast
 from pathlib import Path
 
@@ -13,6 +15,8 @@ PACKAGE = sorted((ROOT / "src" / "refinet").glob("*.py"))
 MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+LONG_DOUBLE = {"longdouble", "longfloat", "float96", "float128", "clongdouble",
+               "complex192", "complex256"}
 
 
 def unused_imports(source: str) -> list:
@@ -115,3 +119,31 @@ def test_environment_reads_found():
                          ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_reads_no_environment(path):
     assert environment_reads(path.read_text()) == []
+
+
+def long_double_mentions(source: str) -> list:
+    """Lines that name a long-double type: as a name, an attribute (such as
+    ``np.longdouble``), an imported name or a dtype string."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.Constant):
+            names.add(node.value)
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+        if names & LONG_DOUBLE:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_long_double_mentions_found():
+    src = ("import numpy as np\nfrom numpy import longdouble\n"
+           "x = np.longdouble(1)\ny = np.asarray(x, dtype='float128')\n"
+           "z = longdouble\n'''no long double here'''\n")
+    assert long_double_mentions(src) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_evaluates_in_float64_only(path):
+    assert long_double_mentions(path.read_text()) == []

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, hat
-from refinet.loop import (LoopConfig, _selector_knots, build_controller_field,
-                          controller_orbit, embed, min_readout_scalar,
-                          readout_minus, readout_plus, scalar_field,
-                          selector_fields, selector_scalars)
+from refinet.loop import (LoopConfig, _embed_exact, _selector_knots,
+                          build_controller_field, controller_orbit, embed,
+                          min_readout_scalar, readout_minus, readout_plus,
+                          scalar_field, selector_field, selector_scalars)
+from refinet.network import eval_exact
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
 
@@ -28,19 +29,6 @@ def test_embed_traverses_whole_boundary():
     # total arc length equals the triangle perimeter
     per = np.sqrt(2) + 1 + 1
     assert np.sum(d) == pytest.approx(per, rel=1e-9)
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
-                    reason="needs a long double with a 64-bit significand")
-def test_embed_is_exact_in_long_double():
-    # 3t needs up to 55 bits, so float64 would round these
-    ts = [0.1, 0.3, 0.5 + 2 ** -53, 0.7, 1 - 2 ** -53]
-    got = embed(np.array(ts))
-    assert got.dtype == np.longdouble
-    for t, z in zip(ts, got):
-        s = 3 * Fraction(t)
-        want = (s, s) if s <= 1 else (1, 2 - s) if s <= 2 else (3 - s, 0)
-        assert [Fraction(*v.as_integer_ratio()) for v in z] == list(want)
 
 
 def test_controller_transports_residual():
@@ -80,19 +68,17 @@ def test_lowered_controller_orbit_drift_small_m():
         assert worst < 1e-9
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
-                    reason="needs a long double with a 64-bit significand")
 def test_lowered_controller_exact_for_every_m():
-    # iterated in long double from embed, the lowered controller follows the
-    # exact residual orbit, which is a float64 at every step
+    # iterated exactly from the exact E(x), the lowered controller follows
+    # the exact residual orbit, which is a float64 at every step
     xs = np.random.default_rng(4).uniform(0, 1, 200)
     for M in range(2, 17):
         net = lower_planar_field(build_controller_field(M))
-        orbits = np.array([residual_iterate(x, M, 8).residuals for x in xs])
-        z = embed(xs)
+        orbits = [residual_iterate(x, M, 8).residuals for x in xs]
+        z = [_embed_exact(Fraction(x)) for x in xs]
         for j in range(1, 9):
-            z = net(z)
-            assert np.max(np.abs(z - embed(orbits[:, j]))) == 0
+            z = eval_exact(net, z)
+            assert z.tolist() == [list(_embed_exact(Fraction(o[j]))) for o in orbits]
 
 
 def test_readout_endpoints():
@@ -126,14 +112,6 @@ def _exact_interp(h, t):
     return Fraction(0)
 
 
-def _exact_embed(t):
-    if t <= Fraction(1, 3):
-        return 3 * t, 3 * t
-    if t <= Fraction(2, 3):
-        return Fraction(1), 2 - 3 * t
-    return 3 - 3 * t, Fraction(0)
-
-
 def test_scalar_field_reads_the_hat():
     rng = np.random.default_rng(5)
     hats = [SpecialHat(hat(0.25, 0.5, 0.75))]
@@ -149,11 +127,11 @@ def test_scalar_field_reads_the_hat():
         params = {Fraction(j, 3) for j in range(3)}
         params |= {Fraction(t) for t in h.base.ts}
         for t in params:
-            v = np.array([float(c) for c in _exact_embed(t)])
+            v = np.array([float(c) for c in _embed_exact(t)])
             row = np.flatnonzero(np.all(field.vertices == v, axis=1))
             assert row.size == 1
             assert field.values[row[0], 0] == float(_exact_interp(h, t))
-        got = lower_planar_field(field)(embed(ts).astype(float))[:, 0]
+        got = lower_planar_field(field)(embed(ts))[:, 0]
         assert np.max(np.abs(got - h(ts))) < 1e-12
 
 
@@ -196,11 +174,10 @@ def test_selector_partition_and_indicator():
 def test_selector_fields_match_scalars():
     cfg = LoopConfig(3, 2)
     thetas = selector_scalars(cfg)
-    fields = selector_fields(cfg)
     ts = np.linspace(0, 1, 700)
-    for th, f in zip(thetas, fields):
-        got = f(embed(ts)).ravel()
-        assert np.max(np.abs(got - th(ts))) < 1e-12
+    got = selector_field(cfg)(embed(ts))
+    want = np.column_stack([th(ts) for th in thetas])
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("M, n, rows", [(2, 16, 12), (4, 3, 20), (7, 6, 32)])
@@ -210,11 +187,11 @@ def test_selector_fan_sits_on_corners_and_knots(M, n, rows):
     cfg = LoopConfig(M, n)
     params = {Fraction(j, 3) for j in range(3)}
     params |= {t for knots in _selector_knots(cfg) for t, _ in knots if t < 1}
-    want = {tuple(float(c) for c in _exact_embed(t)) for t in params}
-    fields = selector_fields(cfg)
-    ring = fields[0].vertices[1:]
+    want = {tuple(float(c) for c in _embed_exact(t)) for t in params}
+    field = selector_field(cfg)
+    ring = field.vertices[1:]
     assert len(ring) == len(want) and {tuple(v) for v in ring} == want
-    assert lower_planar_field(*fields).layers[0].weights.shape[0] == rows
+    assert lower_planar_field(field).layers[0].weights.shape[0] == rows
 
 
 def test_config_validation():

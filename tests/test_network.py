@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,11 @@ from scipy import sparse
 
 from refinet import compile_anchored, gallery, network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
-from refinet.network import (Layer, ReluNetwork, affine_net, from_json_dict,
-                             identity_net, lower_curve_1d, lower_scalar_cpwl,
-                             net_stats, passthrough, post_affine, pre_affine,
-                             serial, stack_nets, to_json_dict)
+from refinet.network import (Layer, ReluNetwork, affine_net, eval_exact,
+                             from_json_dict, identity_net, lower_curve_1d,
+                             lower_scalar_cpwl, net_stats, passthrough,
+                             post_affine, pre_affine, serial, stack_nets,
+                             to_json_dict)
 from refinet.reductions import stack_curves, stack_system
 
 
@@ -107,38 +109,20 @@ def test_json_roundtrip_dense_and_sparse():
                              - net.eval_scalar_input(ts))) < 1e-15
 
 
-def test_long_double_input_stays_long_double():
-    base = lower_scalar_cpwl(hat(0.0, 0.5, 1.0))
-    wide = stack_nets([serial(base, passthrough(1, "general", 1))] * 100,
-                      [[0]] * 100, 1)
-    ts = np.linspace(-0.5, 1.5, 101)[:, None]
-    for net in [base, wide]:
-        lo = net(ts)
-        hi = net(ts.astype(np.longdouble))
-        assert lo.dtype == np.float64
-        assert hi.dtype == np.longdouble
-        assert np.max(np.abs(hi - lo)) < 1e-15
-    # one third is not a float64: a long-double input keeps its extra bits
-    third = np.longdouble(1) / 3
-    out = identity_net(1)(np.array([third]))
-    assert out.dtype == np.longdouble and out[0] == third
-    assert identity_net(1)(np.array([2])).dtype == np.float64
-
-
-def test_long_double_plan_is_built_once():
+def test_plan_is_built_once():
+    # one plan per net, shared by every float64 call and by eval_exact
     net = serial(lower_scalar_cpwl(hat(0.0, 0.5, 1.0)), passthrough(1, "general", 2))
     ts = np.linspace(-0.5, 1.5, 11)[:, None]
-    lo = ts.astype(np.longdouble)
-    with mock.patch.object(sparse, "csr_matrix", wraps=sparse.csr_matrix) as csr:
-        first = net(lo)
-        built = csr.call_count
-        assert net(lo).tobytes() == first.tobytes()
-    assert built == len(net.layers) and csr.call_count == built
-    net(ts)
-    plans = dict(net._plans)
-    assert set(plans) == {np.dtype(np.float64), np.dtype(np.longdouble)}
-    net(lo), net(ts)
-    assert all(net._plans[k] is plans[k] for k in plans)
+    with mock.patch.object(network, "_diagonal_blocks",
+                           wraps=network._diagonal_blocks) as split:
+        first = net(ts)
+        plan = net._plan()
+        assert net(ts).tobytes() == first.tobytes()
+        assert net(ts[0]).tobytes() == first[0].tobytes()
+        assert np.allclose(eval_exact(net, ts).astype(float), first, rtol=0, atol=1e-15)
+        assert net._plan() is plan
+    assert split.call_count == 1
+    assert identity_net(1)(np.array([2])).dtype == np.float64
 
 
 def test_plan_splits_layers_into_diagonal_blocks():
@@ -148,7 +132,7 @@ def test_plan_splits_layers_into_diagonal_blocks():
     b = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0])
     net = ReluNetwork(5, [Layer(W, b, "relu"), Layer(np.ones((1, 7)), [0.0], "linear")])
     for lay in [net.layers[0], Layer(sparse.csr_matrix(W), b, "relu")]:
-        (rows, mats, zeros, biases, relu), = ReluNetwork(5, [lay])._plan(float)[:1]
+        (rows, mats, zeros, biases, relu), = ReluNetwork(5, [lay])._plan()[:1]
         # zero rows join the block above while it at most doubles; rows 5-6
         # stay a block of zeros
         assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 2)),
@@ -398,16 +382,77 @@ def test_chunked_eval_matches_reference(net_rng, chunk, off, k):
     with mock.patch.object(network, "_EVAL_BUDGET", chunk * 8 * widest):
         got = net(x)
         one = net(x[0]) if N else None
-        lo = net(x.astype(np.longdouble))
     want = _reference(net, x)
     assert got.shape == want.shape == (N, net.output_dim)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
     if N:
         assert one.shape == (net.output_dim,)
         assert np.allclose(one, want[0], rtol=1e-12, atol=1e-12)
-    assert lo.dtype == np.longdouble
-    assert np.allclose(lo, _reference(net, x.astype(np.longdouble)),
-                       rtol=1e-15, atol=1e-15)
+
+
+def _fraction_reference(net, x):
+    """Plain per-layer evaluation in Fractions, point-major."""
+    y = [[Fraction(v) for v in p] for p in np.atleast_2d(x).tolist()]
+    for l in net.layers:
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        W = [[Fraction(w) for w in row] for row in W.tolist()]
+        b = [Fraction(v) for v in l.bias.tolist()]
+        y = [[sum((w * v for w, v in zip(row, p)), c) for row, c in zip(W, b)]
+             for p in y]
+        if l.activation == "relu":
+            y = [[max(v, 0) for v in p] for p in y]
+    return y
+
+
+def _rounding_bound(net, x):
+    """Twice the forward error bound of float64 evaluation: a layer of k
+    inputs adds at most gamma_{k+1} (|W| |y| + |b|) to the error that |W|
+    carries over, with gamma_k = k u / (1 - k u) the dot-product bound for
+    unit roundoff u, in any summation order; a ReLU adds nothing."""
+    u = 2.0 ** -53
+    y = np.atleast_2d(x)
+    err = np.zeros_like(y)
+    for l in net.layers:
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        g = (W.shape[1] + 1) * u / (1 - (W.shape[1] + 1) * u)
+        err = err @ np.abs(W).T + g * (np.abs(y) @ np.abs(W).T + np.abs(l.bias))
+        y = y @ W.T + l.bias
+        if l.activation == "relu":
+            y = np.maximum(y, 0.0)
+    return 2 * err
+
+
+def _check_exact(net, x):
+    exact = eval_exact(net, x)
+    assert exact.shape == (x.shape[0], net.output_dim)
+    assert exact.tolist() == _fraction_reference(net, x)
+    err = np.abs(net(x) - exact.astype(float))
+    assert np.all(err <= _rounding_bound(net, x))
+    assert eval_exact(net, x[0]).tolist() == exact[0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_nets(), stacked_nets()), st.integers(1, 4))
+def test_eval_exact_matches_fraction_reference(net_rng, N):
+    net, rng = net_rng
+    _check_exact(net, rng.normal(size=(N, net.input_dim)))
+
+
+def test_eval_exact_reads_csr_layers():
+    rng = np.random.default_rng(8)
+    parts = [ReluNetwork(2, [Layer(rng.normal(size=(4, 2)), rng.normal(size=4), "relu"),
+                             Layer(rng.normal(size=(1, 4)), [0.0], "linear")])
+             for _ in range(3)]
+    with mock.patch.object(network, "_SPARSE_MIN_SIZE", 1):
+        net = stack_nets(parts, [[0, 1], [1, 2], [2, 0]], 3)
+    assert _csr_layers(net)
+    _check_exact(net, rng.normal(size=(7, 3)))
+    # exact where float64 rounds, in any summation order: 1 + 2^-60 + 2^-60
+    net = affine_net(np.array([[1.0, 1.0, 1.0]]), np.array([0.0]))
+    x = np.array([1.0, 2.0 ** -60, 2.0 ** -60])
+    assert net(x)[0] == 1.0 and eval_exact(net, x)[0] == 1 + Fraction(1, 2 ** 59)
+    with pytest.raises(ValueError):
+        eval_exact(net, [Fraction(1, 3), 0, 0])
 
 
 def test_eval_memory_is_bounded():

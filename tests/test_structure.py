@@ -66,8 +66,6 @@ def test_benchmark_nets_match_reference(build):
     x = np.linspace(-0.25, 1.25, 2001)[:, None]
     want = _reference(net, x)
     assert np.max(np.abs(net(x) - want)) < 1e-12
-    lo = x[::7].astype(np.longdouble)
-    assert np.max(np.abs(net(lo) - _reference(net, lo))) < 1e-12
 
 
 @pytest.mark.parametrize("build, ceiling", [
