@@ -199,12 +199,15 @@ def cmd_render(args):
 
 
 def write_svg(xy: np.ndarray, path: str):
-    """Single polyline in a unit viewBox with a 5% margin (y up)."""
+    """Single polyline (y up) in a square viewBox with a 5% margin around it."""
     pts = " ".join(f"{x:.8f},{1 - y:.8f}" for x, y in xy)
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    side = 1.1 * (float(np.max(hi - lo)) or 1.0)
+    x0, y0 = (lo[0] + hi[0] - side) / 2, 1 - (lo[1] + hi[1] + side) / 2
     body = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        'viewBox="-0.05 -0.05 1.1 1.1">\n'
-        f'<polyline fill="none" stroke="black" stroke-width="0.002" '
+        f'viewBox="{x0:.8f} {y0:.8f} {side:.8f} {side:.8f}">\n'
+        f'<polyline fill="none" stroke="black" stroke-width="{side / 550:.8g}" '
         f'points="{pts}"/>\n</svg>\n')
     with open(path, "w") as fh:
         fh.write(body)

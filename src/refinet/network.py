@@ -24,12 +24,18 @@ from .cpwl import ScalarCpwl
 # stack_nets builds a joint layer with at least this many (out x in) entries
 # as CSR, since a dense block diagonal grows quadratically with the width
 _SPARSE_MIN_SIZE = 250_000
-# bytes of activations per layer that one chunk of evaluated points may hold
+# bytes of activations per layer that one tile of evaluated points may hold
 _EVAL_BUDGET = 16 * 2 ** 20
+# points per evaluation tile: at width 18 its two activations hold 1.2 MB, in L2
+_EVAL_POINTS = 4096
 # neighbouring diagonal blocks of a layer merge while the merged block holds at
 # most this many times the entries of the finest blocks inside it: each block
 # costs the evaluator one matmul call, each entry one multiply-add per point
 _BLOCK_MERGE = 2
+
+
+def _eval_tile(widest: int) -> int:
+    return max(1, min(_EVAL_POINTS, _EVAL_BUDGET // (8 * widest)))
 
 
 def _issparse(W) -> bool:
@@ -117,11 +123,12 @@ class ReluNetwork:
     def __call__(self, x):
         """Evaluate on x of shape (d,) or (N, d), in float64.
 
-        Points are evaluated one column each, in chunks whose widest
-        activation stays within ``_EVAL_BUDGET`` bytes, so memory is bounded
-        for any N.  Layers write alternately into two buffers allocated once
-        per call: allocating each activation afresh lets the allocator hand
-        pages back and fault them in again on every layer.
+        Points are evaluated one column each, in tiles of at most
+        ``_EVAL_POINTS`` points and ``_EVAL_BUDGET`` bytes per activation, so
+        the memory beside the output is fixed for any N and stage, and a
+        narrow net's tile stays in L2 cache.  Layers write alternately into
+        two buffers allocated once per call: allocating each activation afresh
+        lets the allocator hand pages back and fault them in again per layer.
 
         Each layer runs as the steps of the evaluation plan, built on the
         first call and cached (``_plan``): one matmul per contiguous diagonal
@@ -136,11 +143,11 @@ class ReluNetwork:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         plan = self._plan()
         widest = max(l.weights.shape[0] for l in self.layers)
-        chunk = max(1, _EVAL_BUDGET // (x.itemsize * widest))
+        tile = _eval_tile(widest)
         out = np.empty((x.shape[0], self.output_dim))
-        bufs = np.empty((2, widest * min(chunk, x.shape[0])))
-        for s in range(0, x.shape[0], chunk):
-            y = x[s:s + chunk].T
+        bufs = np.empty((2, widest * min(tile, x.shape[0])))
+        for s in range(0, x.shape[0], tile):
+            y = x[s:s + tile].T
             for i, (rows, mats, zeros, biases, relu) in enumerate(plan):
                 buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, -1)
                 for rs, cs, W in mats:
@@ -152,7 +159,7 @@ class ReluNetwork:
                 if relu:
                     np.maximum(buf, 0.0, out=buf)
                 y = buf
-            out[s:s + chunk] = y.T
+            out[s:s + tile] = y.T
         return out[0] if single else out
 
     def _plan(self):
@@ -406,14 +413,16 @@ def _sizes(net: ReluNetwork) -> dict:
 
 def net_stats(net: ReluNetwork) -> dict:
     """Sizes of ``net``; ``eval_entries`` counts the weights its float64
-    evaluation plan multiplies per point."""
+    evaluation plan multiplies per point, and ``eval_buffer_bytes`` the most
+    that an evaluation call holds in activation buffers beside its output."""
     return {
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
-        **_sizes(net),
+        **(sizes := _sizes(net)),
         "layer_count": len(net.layers),
         "eval_entries": sum((r1 - r0) * (c1 - c0) for blocks in _diagonal_blocks(net.layers)
                             for r0, r1, c0, c1 in blocks if c1 > c0),
+        "eval_buffer_bytes": 2 * sizes["width"] * _eval_tile(sizes["width"]) * 8,
     }
 
 

@@ -125,6 +125,19 @@ def test_render_and_sample(tmp_path):
     assert len(lines) > 100
 
 
+@pytest.mark.parametrize("example", ["heighway", "levy", "gosper"])
+def test_render_view_box_holds_every_point(tmp_path, example):
+    # at stage 3 these curves leave the unit square
+    svg = tmp_path / f"{example}.svg"
+    assert main(["render", "--example", example, "--stage", "3", "--out", str(svg)]) == 0
+    text = svg.read_text()
+    x0, y0, w, h = map(float, text.split('viewBox="')[1].split('"')[0].split())
+    pts = text.split('points="')[1].split('"')[0].split()
+    xy = np.array([p.split(",") for p in pts], dtype=float)
+    assert w == h > 0
+    assert np.all((xy >= [x0, y0]) & (xy <= [x0 + w, y0 + h]))
+
+
 @pytest.mark.parametrize("backend", ["oracle", "network"])
 def test_sample_covers_the_whole_support(tmp_path, backend):
     # an L = 2 curve lives on [0, 2]: its largest value sits past t = 1

@@ -6,10 +6,12 @@ nonzero entries of dense layers.  The fourth count is the weights the
 float64 evaluation plan multiplies per point (``net_stats``'
 ``eval_entries``).  The compiles the benchmark times are held to a
 ceiling on the atomic cores they build, and on the rows of the joint
-layers that the compiler stacks.  A change that grows one of these
-nets, or the work of compiling or evaluating it, fails here, before it
+layers that the compiler stacks, and evaluation to the activation
+buffers of one point tile.  A change that grows one of these nets, or the
+work or memory of compiling or evaluating it, fails here, before it
 reaches a benchmark run.
 """
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -104,3 +106,24 @@ def stacked_rows(build):
 def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
     rows = stacked_rows(build)
     assert rows <= ceiling, (rows, ceiling)
+
+
+def test_eval_holds_one_tile_of_buffers():
+    net = scalar_deep().net
+    stats = net_stats(net)
+    tile = network._eval_tile(stats["width"])
+    x = np.random.default_rng(11).uniform(size=(3 * tile + 1, 1))
+    net(x[:1])                           # build the cached plan outside the trace
+    tracemalloc.start()
+    try:
+        out = net(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the buffers of one tile, and 128 KiB of slack: the bias adds
+    # broadcast through numpy's 64 KiB ufunc buffer, and the call's own objects
+    assert peak <= stats["eval_buffer_bytes"] + out.nbytes + 2 ** 17
+    with mock.patch.object(network, "_EVAL_POINTS", x.shape[0]):
+        assert np.array_equal(out, net(x))
+    # the benchmark's 2000-point batches are one tile at each benchmark width
+    assert all(network._eval_tile(w) >= 2000 for w in (18, 138, 72))
