@@ -242,7 +242,8 @@ def compile_jobs(op: RefinementOp, jobs) -> tuple:
         W = np.zeros((t_out + p, t_out + p * (acc_in + len(cs))))
         W[:t_out, :t_out] = 1.0
         W[t_out:, t_out:] = np.hstack([np.eye(p)] * (acc_in + len(cs)))
-        stage = stack_nets(nets, ins, 1 + p * acc_in)
+        # a lone cell with no carries reads the whole input: no copy to stack
+        stage = nets[0] if len(nets) == 1 else stack_nets(nets, ins, 1 + p * acc_in)
         stages.append(post_affine(stage, W, np.zeros(t_out + p)))
     return serial(*stages), info
 

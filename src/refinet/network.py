@@ -131,10 +131,11 @@ class ReluNetwork:
         lets the allocator hand pages back and fault them in again per layer.
 
         Each layer runs as the steps of the evaluation plan, built on the
-        first call and cached (``_plan``): one matmul per contiguous diagonal
-        block of W, zeros for rows with no weights, and the bias added only
-        on the rows where it is nonzero.  ``eval_exact`` walks the same plan
-        in exact arithmetic.
+        first call and cached (``_plan``) on the live rows only
+        (``_live_layers``): one matmul per contiguous diagonal block of W,
+        zeros for rows with no weights, and the bias added only on the rows
+        where it is nonzero.  ``eval_exact`` walks the same plan in exact
+        arithmetic.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -142,14 +143,14 @@ class ReluNetwork:
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         plan = self._plan()
-        widest = max(l.weights.shape[0] for l in self.layers)
+        widest = max(step[0] for step in plan)
         tile = _eval_tile(widest)
         out = np.empty((x.shape[0], self.output_dim))
         bufs = np.empty((2, widest * min(tile, x.shape[0])))
         for s in range(0, x.shape[0], tile):
             y = x[s:s + tile].T
             for i, (rows, mats, zeros, biases, relu) in enumerate(plan):
-                buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, -1)
+                buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, y.shape[1])
                 for rs, cs, W in mats:
                     np.matmul(W, y[cs], out=buf[rs])
                 for rs in zeros:
@@ -163,23 +164,43 @@ class ReluNetwork:
         return out[0] if single else out
 
     def _plan(self):
-        """The cached evaluation plan: per layer, (rows, [(row slice, column
-        slice, W)], [zero row slices], [(row slice, bias column)], relu)."""
+        """The cached evaluation plan of the live layers: per layer, (rows,
+        [(row slice, column slice, W)], [zero row slices], [(row slice,
+        bias column)], relu)."""
         if self._eval_plan is None:
-            blocks = _diagonal_blocks(self.layers)
+            layers = _live_layers(self.layers)
             self._eval_plan = tuple(
                 (l.weights.shape[0],
                  tuple((slice(r0, r1), slice(c0, c1), _dense(l.weights[r0:r1, c0:c1]))
                        for r0, r1, c0, c1 in bs if c1 > c0),
                  tuple(slice(r0, r1) for r0, r1, c0, c1 in bs if c1 <= c0),
                  _bias_runs(l.bias), l.activation == "relu")
-                for l, bs in zip(self.layers, blocks))
+                for l, bs in zip(layers, _diagonal_blocks(layers)))
         return self._eval_plan
 
     def eval_scalar_input(self, t):
         """Convenience for 1-input networks: map array t to (N, out)."""
         t = np.atleast_1d(np.asarray(t))
         return self(t[:, None])
+
+
+def _live_layers(layers):
+    """``layers`` cut to their live rows.  Every output row is live, and a
+    row of an earlier layer is live when some live row of the next layer
+    has a nonzero weight on it.  A dead row adds only exact 0 * y terms to
+    the outputs, so dropping it keeps every sum that BLAS adds in index
+    order bitwise; a one-row block runs as a matrix-vector product, which
+    OpenBLAS sums in interleaved lanes, so there it can move by an ulp."""
+    out, rows = [], slice(None)      # the live rows of the layer being cut
+    for k in range(len(layers) - 1, -1, -1):
+        l = layers[k]
+        W, b = l.weights[rows], l.bias[rows]
+        if k:
+            used = np.asarray((W != 0).sum(axis=0)).ravel() > 0
+            rows = slice(None) if used.all() else np.flatnonzero(used)
+            W = W[:, rows]
+        out.append(Layer(W, b, l.activation))
+    return out[::-1]
 
 
 def _diagonal_blocks(layers):
@@ -378,18 +399,14 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
 
 
 def lower_scalar_cpwl(f: ScalarCpwl) -> ReluNetwork:
-    """Exact one-hidden-layer realization of a scalar CPwL function."""
-    k = f.ts.size
-    s = f.slopes()
-    # slope jump at each breakpoint (flat tails on both sides)
-    c = np.zeros(k)
-    prev = 0.0
-    for i in range(k):
-        cur = s[i] if i < k - 1 else 0.0
-        c[i] = cur - prev
-        prev = cur
-    l1 = Layer(np.ones((k, 1)), -f.ts, "relu")
-    l2 = Layer(c[None, :], np.array([f.left_tail]), "linear")
+    """Exact one-hidden-layer realization of a scalar CPwL function: a unit
+    ReLU(t - t_i) at each breakpoint where the slope jumps (flat tails on
+    both sides).  A constant keeps its empty hidden layer, so it stays
+    depth 1."""
+    c = np.diff(np.concatenate(([0.0], f.slopes(), [0.0])))
+    live = c != 0
+    l1 = Layer(np.ones((np.count_nonzero(live), 1)), -f.ts[live], "relu")
+    l2 = Layer(c[None, live], np.array([f.left_tail]), "linear")
     return ReluNetwork(1, [l1, l2])
 
 
@@ -412,17 +429,21 @@ def _sizes(net: ReluNetwork) -> dict:
 
 
 def net_stats(net: ReluNetwork) -> dict:
-    """Sizes of ``net``; ``eval_entries`` counts the weights its float64
-    evaluation plan multiplies per point, and ``eval_buffer_bytes`` the most
-    that an evaluation call holds in activation buffers beside its output."""
+    """Sizes of ``net``; ``nnz`` counts its stored nonzero weights,
+    ``eval_entries`` the weights its float64 evaluation plan multiplies per
+    point, and ``eval_buffer_bytes`` the most that an evaluation call holds
+    in activation buffers beside its output, both on the plan's live rows."""
+    plan = net._plan()
+    widest = max(step[0] for step in plan)
     return {
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
-        **(sizes := _sizes(net)),
+        **_sizes(net),
         "layer_count": len(net.layers),
-        "eval_entries": sum((r1 - r0) * (c1 - c0) for blocks in _diagonal_blocks(net.layers)
-                            for r0, r1, c0, c1 in blocks if c1 > c0),
-        "eval_buffer_bytes": 2 * sizes["width"] * _eval_tile(sizes["width"]) * 8,
+        "nnz": sum(l.weights.nnz if _issparse(l.weights) else np.count_nonzero(l.weights)
+                   for l in net.layers),
+        "eval_entries": sum(W.size for _, mats, *_ in plan for *_, W in mats),
+        "eval_buffer_bytes": 2 * widest * _eval_tile(widest) * 8,
     }
 
 

@@ -128,10 +128,13 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
 
 def lower_planar_field(field: PlanarCpwlField) -> ReluNetwork:
     """Exact depth-2 ReLU realization of a fan field: a layer of hats shared
-    by its outputs, and one linear readout."""
-    n = field.weights.shape[0]
-    P = field.hat_planes
+    by its outputs, and one linear readout.  Only the hats of vertices with
+    a nonzero readout row are emitted: the others add 0 to every output.
+    A field with none keeps both (empty) hat layers, so it stays depth 2."""
+    live = np.flatnonzero(np.any(field.weights != 0, axis=1))
+    P = field.hat_planes[np.concatenate([live, len(field.weights) + live])]
+    I = np.eye(live.size)
     return ReluNetwork(2, [
         Layer(P[:, :2], P[:, 2], "relu"),
-        Layer(np.hstack([np.eye(n), -np.eye(n)]), np.zeros(n), "relu"),
-        Layer(field.weights.T, field.values[0], "linear")])
+        Layer(np.hstack([I, -I]), np.zeros(live.size), "relu"),
+        Layer(field.weights[live].T, field.values[0], "linear")])

@@ -163,8 +163,10 @@ def test_sample_covers_the_whole_support(tmp_path, backend):
 def test_stats_runs(capsys):
     rc = main(["stats", "--example", "levy", "--stage", "3"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "depth" in out
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head.split() == ["n", "depth", "d1", "d2", "width", "nnz", "eval_entries",
+                            "coeff_max"]
+    assert len(rows) == 3
 
 
 @pytest.mark.parametrize("stage", ["0", "-1"])

@@ -9,10 +9,12 @@ from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
                           selector_field)
+from refinet.network import post_affine, stack_nets
 from refinet.planar import lower_planar_field
 from refinet.reductions import compile_anchored
 from refinet.refinement import (RefinementOp, apply_v_n, cascade_eval,
                                 residual_iterate, vectorize)
+from test_network import _layer_bytes
 
 
 def scalar_op():
@@ -129,6 +131,24 @@ def test_compile_homogeneous_vector_multicell():
         # the cell nets are unclamped, yet vanish off the support window
         off = np.concatenate([np.linspace(-0.5, 0, 201), np.linspace(2, 2.5, 201)])
         assert np.max(np.abs(ci(off))) < 1e-12
+
+
+def test_lone_cell_is_not_restacked():
+    # a compile of one cell carries nothing: compile_jobs takes the cell as
+    # it is, with the layers that stacking it alone would copy
+    koch = gallery.koch().op()
+    h = hat(0.25, 0.5, 0.75)
+    pair = CpwlCurve((h, h.scale(-2.0)), 1)
+    for op, gam, n in [(scalar_op(), CpwlCurve((h,), 1), 3), (koch, pair, 0),
+                       (koch, pair, 2)]:
+        with mock.patch.object(compiler, "stack_nets",
+                               wraps=compiler.stack_nets) as stack:
+            net = compile_homogeneous(op, gam, n).net
+        assert all(len(c.args[0]) > 1 for c in stack.call_args_list)
+        (cell,), _, _ = compiler._job_cells(op, gam, n)
+        p = op.p
+        want = post_affine(stack_nets([cell], [[0]], 1), np.eye(p), np.zeros(p))
+        assert [_layer_bytes(l) for l in net.layers] == [_layer_bytes(l) for l in want.layers]
 
 
 def test_compile_requires_compact_support():

@@ -1,9 +1,12 @@
+import argparse
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, hat
+from refinet import cli, compiler, gallery
+from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, decompose_atomic, hat
 from refinet.loop import (LoopConfig, _embed_exact, _selector_knots,
                           build_controller_field, controller_orbit, embed,
                           min_readout_scalar, readout_minus, readout_plus,
@@ -11,6 +14,7 @@ from refinet.loop import (LoopConfig, _embed_exact, _selector_knots,
 from refinet.network import eval_exact
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
+from test_network import unread_units
 
 
 def test_embed_landmarks():
@@ -79,6 +83,34 @@ def test_lowered_controller_exact_for_every_m():
         for j in range(1, 9):
             z = eval_exact(net, z)
             assert z.tolist() == [list(_embed_exact(Fraction(o[j]))) for o in orbits]
+
+
+def test_loop_lowerings_emit_no_unread_unit():
+    # a hat is emitted only where the readout row is nonzero: F reads 0 at
+    # the M vertices E(k/M) = a0, as at the center, so 2M of its 3M stay
+    for M in range(2, 17):
+        net = lower_planar_field(build_controller_field(M))
+        assert unread_units(net) == 0 and net.layers[1].weights.shape[0] == 2 * M
+    for M, n in [(2, 16), (4, 3), (7, 6)]:
+        assert unread_units(lower_planar_field(selector_field(LoopConfig(M, n)))) == 0
+    hats = {}
+
+    def record(curve):
+        terms = decompose_atomic(curve)
+        hats.update(((tuple(t.hat.base.ts), tuple(t.hat.base.vs)), t.hat) for t in terms)
+        return terms
+
+    with mock.patch.object(compiler, "decompose_atomic", record):
+        for name in gallery.NAMED_INSTANCES:
+            kind, op, src = cli._source(argparse.Namespace(spec=None, example=name))
+            for compile_, _ in cli.MODES[kind].values():
+                compile_(op, src, 2)
+    assert len(hats) >= 6
+    for h in hats.values():
+        field = scalar_field(h)
+        net = lower_planar_field(field)
+        assert unread_units(net) == 0
+        assert net.layers[1].weights.shape[0] == np.count_nonzero(field.values[1:])
 
 
 def test_readout_endpoints():

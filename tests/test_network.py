@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from refinet import compile_anchored, gallery, network
-from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
+from refinet.cpwl import CpwlCurve, ScalarCpwl, constant, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, eval_exact,
                              from_json_dict, identity_net, lower_curve_1d,
                              lower_scalar_cpwl, net_stats, passthrough,
@@ -39,6 +39,43 @@ def test_lower_scalar_cpwl_exact():
         assert np.max(np.abs(got - f(ts))) < 1e-12
         assert net.depth == 1
         assert net_stats(net)["width"] == k
+
+
+def unread_units(net):
+    """The hidden units of ``net`` whose outgoing weights are all zero."""
+    return sum(int(np.count_nonzero(~np.any(W != 0, axis=0))) for W in
+               (l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+                for l in net.layers[1:]))
+
+
+def test_lower_scalar_cpwl_emits_no_unread_unit():
+    # no unit at a breakpoint where the slope does not jump: between
+    # collinear neighbours, or at an end where the function is flat
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k = int(rng.integers(3, 9))
+        ts = np.sort(rng.choice(np.arange(-8, 17), k, replace=False)) / 8
+        slopes = rng.integers(-2, 3, k - 1).astype(float)
+        vs = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))]) + rng.integers(-4, 5)
+        f = ScalarCpwl(ts, vs)
+        net = lower_scalar_cpwl(f)
+        assert net.depth == 1 and unread_units(net) == 0
+        jumps = np.diff(np.concatenate([[0.0], slopes, [0.0]]))
+        assert net.layers[0].weights.shape[0] == np.count_nonzero(jumps)
+        x = np.sort(np.concatenate([np.linspace(-2, 3, 200), ts]))
+        assert np.max(np.abs(net.eval_scalar_input(x)[:, 0] - f(x))) < 1e-12
+
+
+def test_constant_component_lowers_at_depth_one():
+    # a constant has no unit but keeps its empty hidden layer, so stack_nets
+    # does not pad it beside the other components
+    assert lower_scalar_cpwl(constant(2.0)).depth == 1
+    curve = CpwlCurve((hat(0.25, 0.5, 0.75), constant(2.0)), 1)
+    net = lower_curve_1d(curve)
+    assert net.depth == 1
+    assert [l.weights.shape[0] for l in net.layers] == [3, 2]
+    ts = np.linspace(-0.5, 1.5, 101)
+    assert np.max(np.abs(net.eval_scalar_input(ts) - curve(ts))) < 1e-15
 
 
 def test_serial_and_affine_fold():
@@ -436,6 +473,40 @@ def _check_exact(net, x):
 def test_eval_exact_matches_fraction_reference(net_rng, N):
     net, rng = net_rng
     _check_exact(net, rng.normal(size=(N, net.input_dim)))
+
+
+def _plant_unread_units(net, rng):
+    """``net`` with unread units planted among the rows of each hidden layer:
+    random weights and biases in, zero weights out, except to later planted
+    units, which are unread themselves."""
+    layers, rows, cols = [], np.arange(net.input_dim), net.input_dim
+    for k, l in enumerate(net.layers):
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        out = W.shape[0] + (int(rng.integers(1, 4)) if k < len(net.layers) - 1 else 0)
+        prev, rows = rows, np.sort(rng.choice(out, W.shape[0], replace=False))
+        W2 = rng.normal(size=(out, cols))
+        W2[rows] = 0.0
+        W2[np.ix_(rows, prev)] = W
+        b = rng.normal(size=out)
+        b[rows] = l.bias
+        layers.append(Layer(sparse.csr_matrix(W2) if sparse.issparse(l.weights) else W2,
+                            b, l.activation))
+        cols = out
+    return ReluNetwork(net.input_dim, layers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_nets(), stacked_nets()), st.integers(1, 4))
+def test_plan_holds_only_live_rows(net_rng, N):
+    net, rng = net_rng
+    planted = _plant_unread_units(net, rng)
+    # the planted units are cut from the plan, with the rows that only they read
+    assert [p[0] for p in planted._plan()] == [p[0] for p in net._plan()]
+    assert net_stats(planted)["eval_entries"] == net_stats(net)["eval_entries"]
+    x = rng.normal(size=(N, net.input_dim))
+    assert planted(x).tobytes() == net(x).tobytes()
+    assert np.allclose(planted(x), _reference(planted, x), rtol=1e-12, atol=1e-12)
+    _check_exact(planted, x)
 
 
 def test_eval_exact_reads_csr_layers():

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from refinet.loop import embed
+from refinet.network import stack_nets
 from refinet.planar import fan_field, lower_planar_field
 
 
@@ -60,6 +61,23 @@ def test_fields_on_one_fan_share_the_hats():
         assert np.array_equal(l.weights, lg.weights)
     pts = sample_fan_points(rng, f, 300)
     assert np.max(np.abs(joint(pts) - np.hstack([nf(pts), ng(pts)]))) < 1e-12
+
+
+def test_field_with_no_live_hat_lowers_at_depth_two():
+    # every readout row is zero, so no hat is emitted, but both hat layers
+    # stay (empty): the field is depth 2, and stack_nets does not pad it
+    rng = np.random.default_rng(7)
+    f = make_fan(rng, 6, 2)
+    ring = f.vertices[1:]
+    flat = fan_field(f.vertices[0], [1.5, -2.0], ring, np.tile([1.5, -2.0], (len(ring), 1)))
+    net = lower_planar_field(flat)
+    assert net.depth == 2 and [l.weights.shape[0] for l in net.layers] == [0, 0, 2]
+    pts = sample_fan_points(rng, f, 50)
+    assert np.array_equal(net(pts), np.tile([1.5, -2.0], (50, 1)))
+    fan = lower_planar_field(f)
+    joint = stack_nets([fan, net], [[0, 1], [0, 1]], 2)
+    assert [l.weights.shape[0] for l in joint.layers] == [
+        l.weights.shape[0] + w for l, w in zip(fan.layers, [0, 0, 2])]
 
 
 def test_lowered_depth_depends_only_on_piece_count():

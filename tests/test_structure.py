@@ -16,7 +16,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from refinet import compiler, gallery, network
 from refinet.compiler import compile_homogeneous
@@ -29,10 +28,8 @@ from test_network import _reference
 
 
 def structure(net):
-    nnz = sum(int(l.weights.nnz) if sparse.issparse(l.weights)
-              else int(np.count_nonzero(l.weights)) for l in net.layers)
-    return (net.depth, max(l.weights.shape[0] for l in net.layers), nnz,
-            net_stats(net)["eval_entries"])
+    s = net_stats(net)
+    return s["depth"], s["width"], s["nnz"], s["eval_entries"]
 
 
 def scalar_deep(n=16):
@@ -51,9 +48,9 @@ def anchored(name, n):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (99, 18, 3339, 11246)),
-    (lambda: anchored("koch", 3), (25, 138, 6528, 28946)),
-    (lambda: anchored("heighway", 8), (190, 72, 30568, 107244)),
+    (scalar_deep, (99, 16, 2764, 8073)),
+    (lambda: anchored("koch", 3), (25, 126, 5159, 20341)),
+    (lambda: anchored("heighway", 8), (190, 72, 26537, 97937)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
@@ -99,9 +96,9 @@ def stacked_rows(build):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep_sweep, 12736),
-    (lambda: anchored("koch", 3), 2442),
-    (lambda: anchored("heighway", 8), 11872),
+    (scalar_deep_sweep, 1648),
+    (lambda: anchored("koch", 3), 2050),
+    (lambda: anchored("heighway", 8), 10338),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
     rows = stacked_rows(build)
@@ -126,4 +123,4 @@ def test_eval_holds_one_tile_of_buffers():
     with mock.patch.object(network, "_EVAL_POINTS", x.shape[0]):
         assert np.array_equal(out, net(x))
     # the benchmark's 2000-point batches are one tile at each benchmark width
-    assert all(network._eval_tile(w) >= 2000 for w in (18, 138, 72))
+    assert all(network._eval_tile(w) >= 2000 for w in (16, 126, 72))
