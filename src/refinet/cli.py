@@ -235,13 +235,13 @@ def cmd_stats(args):
         ci, _, _ = _build(a2)
         s = ci.stats
         rows.append((n, s["depth"], s["width"], s["nnz"], s["eval_entries"],
-                     s["coeff_max"]))
+                     s["eval_calls"], s["coeff_max"]))
     print(f"{'n':>3} {'depth':>6} {'d1':>5} {'d2':>5} {'width':>7} {'nnz':>9} "
-          f"{'eval_entries':>12} {'coeff_max':>12}")
-    for i, (n, d, w, nnz, ee, c) in enumerate(rows):
+          f"{'eval_entries':>12} {'eval_calls':>10} {'coeff_max':>12}")
+    for i, (n, d, w, nnz, ee, ec, c) in enumerate(rows):
         d1 = d - rows[i - 1][1] if i >= 1 else 0
         d2 = d1 - (rows[i - 1][1] - rows[i - 2][1]) if i >= 2 else 0
-        print(f"{n:>3} {d:>6} {d1:>5} {d2:>5} {w:>7} {nnz:>9} {ee:>12} {c:>12.5g}")
+        print(f"{n:>3} {d:>6} {d1:>5} {d2:>5} {w:>7} {nnz:>9} {ee:>12} {ec:>10} {c:>12.5g}")
     return 0
 
 

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,9 +134,13 @@ class ReluNetwork:
         Each layer runs as the steps of the evaluation plan, built on the
         first call and cached (``_plan``) on the live rows only
         (``_live_layers``): one matmul per contiguous diagonal block of W,
-        zeros for rows with no weights, and the bias added only on the rows
-        where it is nonzero.  ``eval_exact`` walks the same plan in exact
-        arithmetic.
+        most of which multiply [W | b] by their input rows and a ones row,
+        one fill of the ones rows that the next layer reads, and one ReLU.
+        Only one-row blocks add their bias apart (``_build_plan``).  The
+        input tile's ones rows are set once per call.  A lone point runs as
+        two columns: numpy would run one column as matrix-vector products,
+        which sum in another order than the matrix products of every other
+        tile.  ``eval_exact`` walks the same plan in exact arithmetic.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -143,39 +148,37 @@ class ReluNetwork:
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != {self.input_dim}")
         plan = self._plan()
-        widest = max(step[0] for step in plan)
+        widest = max(step[0] for step in plan.steps)
         tile = _eval_tile(widest)
+        n = max(2, min(tile, x.shape[0]))
         out = np.empty((x.shape[0], self.output_dim))
-        bufs = np.empty((2, widest * min(tile, x.shape[0])))
+        bufs = np.empty((2, widest * n))
+        inputs = np.empty(plan.rows * n)
         for s in range(0, x.shape[0], tile):
-            y = x[s:s + tile].T
-            for i, (rows, mats, zeros, biases, relu) in enumerate(plan):
-                buf = bufs[i % 2, :rows * y.shape[1]].reshape(rows, y.shape[1])
+            xs = x[s:s + tile]
+            m = max(2, len(xs))
+            y = inputs[:plan.rows * m].reshape(plan.rows, m)
+            if s == 0 or m < tile:  # a shorter last tile moves the ones rows
+                y[plan.ones] = 1.0
+            y[plan.x_rows] = xs.T
+            for i, (rows, mats, adds, ones, relu) in enumerate(plan.steps):
+                buf = bufs[i % 2, :rows * m].reshape(rows, m)
                 for rs, cs, W in mats:
                     np.matmul(W, y[cs], out=buf[rs])
-                for rs in zeros:
-                    buf[rs] = 0.0
-                for rs, b in biases:
+                for rs, b in adds:
                     buf[rs] += b
+                if ones.size:
+                    buf[ones] = 1.0
                 if relu:
                     np.maximum(buf, 0.0, out=buf)
                 y = buf
-            out[s:s + tile] = y.T
+            out[s:s + tile] = y[:, :len(xs)].T
         return out[0] if single else out
 
-    def _plan(self):
-        """The cached evaluation plan of the live layers: per layer, (rows,
-        [(row slice, column slice, W)], [zero row slices], [(row slice,
-        bias column)], relu)."""
+    def _plan(self) -> _Plan:
+        """The cached evaluation plan of the live layers (``_build_plan``)."""
         if self._eval_plan is None:
-            layers = _live_layers(self.layers)
-            self._eval_plan = tuple(
-                (l.weights.shape[0],
-                 tuple((slice(r0, r1), slice(c0, c1), _dense(l.weights[r0:r1, c0:c1]))
-                       for r0, r1, c0, c1 in bs if c1 > c0),
-                 tuple(slice(r0, r1) for r0, r1, c0, c1 in bs if c1 <= c0),
-                 _bias_runs(l.bias), l.activation == "relu")
-                for l, bs in zip(layers, _diagonal_blocks(layers)))
+            self._eval_plan = _build_plan(self.input_dim, _live_layers(self.layers))
         return self._eval_plan
 
     def eval_scalar_input(self, t):
@@ -260,12 +263,75 @@ def _dense(W) -> np.ndarray:
     return W.toarray() if _issparse(W) else np.ascontiguousarray(W)
 
 
-def _bias_runs(b):
-    """(row slice, bias column) of each maximal run of nonzero bias."""
-    nz = np.concatenate(([False], b != 0, [False]))
-    edges = np.flatnonzero(nz[1:] != nz[:-1]).tolist()
-    return tuple((slice(r0, r1), b[r0:r1, None])
-                 for r0, r1 in zip(edges[::2], edges[1::2]))
+class _Plan(NamedTuple):
+    """A float64 evaluation plan.  The input tile has ``rows`` rows: the
+    point coordinates at ``x_rows`` and ones rows at ``ones``.  Each layer
+    is a step (rows, [(row slice, column slice, W)], [(row slice, bias
+    column)], ones rows, relu), and ``entries`` counts the weights that the
+    blocks multiply per point, their bias columns and zero rows aside."""
+    rows: int
+    x_rows: np.ndarray
+    ones: np.ndarray
+    steps: tuple
+    entries: int
+
+
+def _build_plan(input_dim: int, layers) -> _Plan:
+    """The evaluation plan of ``layers``, built from the last layer back.
+
+    A diagonal block of two or more rows multiplies [W | b] by its input
+    rows followed by a ones row: the bias comes last in the sum, so BLAS
+    adds it after the weights exactly as a separate add would (within one
+    dgemm panel of K, 256 columns or more).  Each activation therefore holds
+    a ones row right after the column range of every such block of the next
+    layer, all set by one fill per layer, and a block whose rows straddle a
+    ones row holds a zero row there.  A block with no weights multiplies its
+    bias by any ones row.  A one-row block adds its bias apart: numpy runs
+    it as a matrix-vector product, which OpenBLAS sums in interleaved lanes.
+    """
+    steps, entries, after = [], 0, []
+    for l, blocks in zip(layers[::-1], _diagonal_blocks(layers)[::-1]):
+        n_out, n_in = l.weights.shape
+        fold = [c1 <= c0 or (r1 - r0 > 1 and bool(np.any(l.bias[r0:r1])))
+                for r0, r1, c0, c1 in blocks]
+        need = sorted({c1 - 1 for (_, _, c0, c1), f in zip(blocks, fold) if f and c1 > c0})
+        if not need and any(c1 <= c0 for _, _, c0, c1 in blocks):
+            need = [n_in - 1]
+        out, out_ones = _layout(n_out, after)
+        inp, in_ones = _layout(n_in, need)
+        mats, adds = [], []
+        for (r0, r1, c0, c1), f in zip(blocks, fold):
+            b = l.bias[r0:r1]
+            rs = slice(out[r0], out[r1 - 1] + 1)
+            if c1 > c0:
+                W = _dense(l.weights[r0:r1, c0:c1])
+                cs = slice(inp[c0], inp[c1 - 1] + 1 + f)
+            else:
+                W = np.zeros((r1 - r0, 0))
+                cs = slice(in_ones[-1], in_ones[-1] + 1)
+            entries += W.size
+            if f:
+                W = np.hstack([W, b[:, None]])
+            elif np.any(b):
+                adds.append((rs, b[:, None]))
+            if rs.stop - rs.start > r1 - r0:      # zero rows under the ones rows
+                M = np.zeros((rs.stop - rs.start, W.shape[1]))
+                M[np.array(out[r0:r1]) - rs.start] = W
+                W = M
+            mats.append((rs, cs, W))
+        steps.append((n_out + len(after), tuple(mats), tuple(adds),
+                      np.array(out_ones, dtype=int), l.activation == "relu"))
+        after = need
+    pos, ones = _layout(input_dim, after)
+    return _Plan(input_dim + len(after), np.array(pos, dtype=int), np.array(ones, dtype=int),
+                 tuple(steps[::-1]), entries)
+
+
+def _layout(n: int, after):
+    """The buffer positions of n rows with a ones row after each row in the
+    sorted list ``after`` (-1: before the first), and those of the ones rows."""
+    pos = np.arange(n) + np.searchsorted(after, np.arange(n))
+    return pos.tolist(), (np.asarray(after, dtype=int) + 1 + np.arange(len(after))).tolist()
 
 
 def _dyadic(a: np.ndarray):
@@ -284,23 +350,28 @@ def eval_exact(net: ReluNetwork, x) -> np.ndarray:
 
     Float64 weights and biases are dyadic rationals, and so must x be.  Each
     layer carries integer numerators over one power of two, and walks the
-    plan's blocks, multiplying their nonzero weights only, and bias runs.
+    plan's blocks, multiplying their nonzero weights only, with the ones
+    rows as exact 1s, and the one-row blocks' bias adds.
     """
     x = np.asarray(x, dtype=object)
     if x.shape[-1] != net.input_dim:
         raise ValueError(f"input dim {x.shape[-1]} != {net.input_dim}")
-    y, s = _dyadic(np.atleast_2d(x).T)
-    for rows, mats, _, biases, relu in net._plan():
+    plan = net._plan()
+    x0, s = _dyadic(np.atleast_2d(x).T)
+    y = np.zeros((plan.rows, x0.shape[1]), dtype=object)
+    y[plan.x_rows], y[plan.ones] = x0, 1 << s
+    for rows, mats, adds, ones, relu in plan.steps:
         nz = [np.nonzero(W) for _, _, W in mats]
-        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)] + [b[:, 0] for _, b in biases]
+        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)] + [b[:, 0] for _, b in adds]
         nums, a = _dyadic(np.concatenate([np.zeros(0), *vals]))
         nums = np.split(nums, np.cumsum([v.size for v in vals]))
         acc = np.zeros((rows, y.shape[1]), dtype=object)
         for (rs, cs, _), (i, j), w in zip(mats, nz, nums):
             starts = np.flatnonzero(np.diff(i, prepend=-1))
             acc[rs][i[starts]] = np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
-        for (rs, _), b in zip(biases, nums[len(mats):]):
+        for (rs, _), b in zip(adds, nums[len(mats):]):
             acc[rs] += b[:, None] << s
+        acc[ones] = 1 << (a + s)
         y, s = (np.maximum(acc, 0) if relu else acc), a + s
     out = y.T.reshape(x.shape[:-1] + (net.output_dim,))
     return np.frompyfunc(lambda v: Fraction(v, 1 << s), 1, 1)(out)
@@ -429,12 +500,15 @@ def _sizes(net: ReluNetwork) -> dict:
 
 
 def net_stats(net: ReluNetwork) -> dict:
-    """Sizes of ``net``; ``nnz`` counts its stored nonzero weights,
-    ``eval_entries`` the weights its float64 evaluation plan multiplies per
-    point, and ``eval_buffer_bytes`` the most that an evaluation call holds
-    in activation buffers beside its output, both on the plan's live rows."""
+    """Sizes of ``net``; ``nnz`` counts its stored nonzero weights, and the
+    rest read its float64 evaluation plan on the live rows: ``eval_entries``
+    the weights it multiplies per point (bias columns and zero rows aside),
+    ``eval_calls`` the numpy calls a tile makes (matmuls, one-row bias adds,
+    fills of the ones rows and ReLUs), and ``eval_buffer_bytes`` the most
+    that an evaluation call holds in activation and input buffers, ones rows
+    included, beside its output."""
     plan = net._plan()
-    widest = max(step[0] for step in plan)
+    widest = max(step[0] for step in plan.steps)
     return {
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
@@ -442,8 +516,10 @@ def net_stats(net: ReluNetwork) -> dict:
         "layer_count": len(net.layers),
         "nnz": sum(l.weights.nnz if _issparse(l.weights) else np.count_nonzero(l.weights)
                    for l in net.layers),
-        "eval_entries": sum(W.size for _, mats, *_ in plan for *_, W in mats),
-        "eval_buffer_bytes": 2 * widest * _eval_tile(widest) * 8,
+        "eval_entries": plan.entries,
+        "eval_calls": sum(len(mats) + len(adds) + (ones.size > 0) + relu
+                          for _, mats, adds, ones, relu in plan.steps),
+        "eval_buffer_bytes": (2 * widest + plan.rows) * _eval_tile(widest) * 8,
     }
 
 

@@ -165,7 +165,7 @@ def test_stats_runs(capsys):
     assert rc == 0
     head, *rows = capsys.readouterr().out.splitlines()
     assert head.split() == ["n", "depth", "d1", "d2", "width", "nnz", "eval_entries",
-                            "coeff_max"]
+                            "eval_calls", "coeff_max"]
     assert len(rows) == 3
 
 

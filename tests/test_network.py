@@ -169,16 +169,66 @@ def test_plan_splits_layers_into_diagonal_blocks():
     b = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0])
     net = ReluNetwork(5, [Layer(W, b, "relu"), Layer(np.ones((1, 7)), [0.0], "linear")])
     for lay in [net.layers[0], Layer(sparse.csr_matrix(W), b, "relu")]:
-        (rows, mats, zeros, biases, relu), = ReluNetwork(5, [lay])._plan()[:1]
+        plan = ReluNetwork(5, [lay])._plan()
+        # the blocks on columns 0-1 and 3-4 fold a bias, so a ones row
+        # follows each in the input
+        assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (7, [0, 1, 3, 4, 5],
+                                                                         [2, 6])
+        (rows, mats, adds, ones, relu), _ = plan.steps
         # zero rows join the block above while it at most doubles; rows 5-6
-        # stay a block of zeros
-        assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 2)),
-                                                    (slice(3, 5), slice(3, 5))]
-        assert zeros == (slice(5, 7),)
-        assert [rs for rs, _ in biases] == [slice(1, 3), slice(4, 5)]
+        # have no weights and multiply their bias by a ones row
+        assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 3)),
+                                                    (slice(3, 5), slice(4, 7)),
+                                                    (slice(5, 7), slice(6, 7))]
+        assert [M.tolist() for *_, M in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
+                                                  [[4, 5, 0], [0, 0, 3]], [[0], [0]]]
+        assert (rows, adds, ones.tolist(), relu) == (7, (), [], True)
     assert net_stats(net)["eval_entries"] == 6 + 4 + 7
     x = np.random.default_rng(6).normal(size=(9, 5))
     assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
+
+
+def test_plan_adds_one_row_biases_apart():
+    # rows 0-1 of the output read hidden row 0 and fold their bias, so a ones
+    # row follows hidden row 0.  The one-row blocks add their biases apart.
+    net = ReluNetwork(4, [Layer(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 2.0],
+                                          [0.0, 0.0, 0.0, 3.0]]),
+                                np.array([0.5, 1.0, 2.0]), "relu"),
+                          Layer(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 4.0]]),
+                                np.array([1.0, 1.0, 1.0]), "linear")])
+    plan = net._plan()
+    assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (5, [0, 1, 2, 3], [4])
+    (rows, mats, adds, ones, _), (rows2, mats2, adds2, ones2, _) = plan.steps
+    assert [(rs, cs, M.tolist()) for rs, cs, M in mats] == [
+        (slice(0, 1), slice(0, 3), [[1.0, 2.0, 3.0]]),
+        (slice(2, 4), slice(3, 5), [[2.0, 1.0], [3.0, 2.0]])]
+    assert [(rs, c.tolist()) for rs, c in adds] == [(slice(0, 1), [[0.5]])]
+    assert (rows, ones.tolist()) == (4, [1])
+    assert [(rs, cs, M.tolist()) for rs, cs, M in mats2] == [
+        (slice(0, 2), slice(0, 2), [[1.0, 1.0], [2.0, 1.0]]),
+        (slice(2, 3), slice(2, 4), [[3.0, 4.0]])]
+    assert [(rs, c.tolist()) for rs, c in adds2] == [(slice(2, 3), [[1.0]])]
+    assert (rows2, ones2.tolist()) == (3, [])
+    # matmuls, bias adds, the fill of the ones rows and the ReLU
+    assert net_stats(net)["eval_calls"] == (2 + 1 + 1 + 1) + (2 + 1)
+    x = np.random.default_rng(6).normal(size=(9, 4))
+    assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
+    _check_exact(net, x)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 8, 17])
+def test_bias_folded_last_is_added_as_apart(rows):
+    # the premise of the plan: in a block of two or more rows, a bias in the
+    # last column is added after the weight sum, exactly as a separate add,
+    # within one dgemm panel of K (256 columns or more), at least for points
+    # in whole groups of eight: the last few points of a tile may run
+    # through a BLAS tail kernel that sums in lanes
+    rng = np.random.default_rng(rows)
+    for k in [1, 2, 5, 16, 63, 127, 255]:
+        for n in [8, 2000]:
+            W, b, y = rng.normal(size=(rows, k)), rng.normal(size=rows), rng.normal(size=(k, n))
+            folded = np.hstack([W, b[:, None]]) @ np.vstack([y, np.ones((1, n))])
+            assert np.array_equal(folded, W @ y + b[:, None]), (k, n)
 
 
 def test_dimension_mismatch_raises():
@@ -501,7 +551,7 @@ def test_plan_holds_only_live_rows(net_rng, N):
     net, rng = net_rng
     planted = _plant_unread_units(net, rng)
     # the planted units are cut from the plan, with the rows that only they read
-    assert [p[0] for p in planted._plan()] == [p[0] for p in net._plan()]
+    assert [p[0] for p in planted._plan().steps] == [p[0] for p in net._plan().steps]
     assert net_stats(planted)["eval_entries"] == net_stats(net)["eval_entries"]
     x = rng.normal(size=(N, net.input_dim))
     assert planted(x).tobytes() == net(x).tobytes()
@@ -533,13 +583,15 @@ def test_eval_memory_is_bounded():
                           Layer(rng.normal(size=(w, w)), rng.normal(size=w), "relu"),
                           Layer(rng.normal(size=(1, w)), np.zeros(1), "linear")])
     x = rng.uniform(size=(200_000, 1))
+    net(x[:1])                           # build the cached plan outside the trace
     tracemalloc.start()
     try:
         out = net(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # two activation buffers of one tile, the output, and 128 KiB for numpy's
-    # ufunc buffer and small objects; N x width is 185 MB
-    bound = net_stats(net)["eval_buffer_bytes"] + out.nbytes + 2 ** 17
+    # the buffers of one tile, the output, and 16 KiB for the call's own
+    # objects: no bias add broadcasts through numpy's 64 KiB ufunc buffer;
+    # N x width is 185 MB
+    bound = net_stats(net)["eval_buffer_bytes"] + out.nbytes + 2 ** 14
     assert peak < bound < x.shape[0] * w * 8 / 3
