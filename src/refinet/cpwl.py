@@ -12,15 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 MERGE_TOL = 1e-12
+TAIL_TOL = 1e-10  # curve values this small count as zero in support checks
 RHO = 0.25  # special hats live inside [RHO, 1 - RHO]
 
 
 class SupportError(ValueError):
     """Raised when a curve violates a required support window."""
-
-
-class DegenerateDilationError(ValueError):
-    """Raised when a dilation factor smaller than 2 is requested."""
 
 
 @dataclass(frozen=True)
@@ -77,13 +74,13 @@ def hat(left: float, mid: float, right: float, height: float = 1.0) -> ScalarCpw
     return ScalarCpwl(np.array([left, mid, right]), np.array([0.0, height, 0.0]))
 
 
-def merge_grids(*grids, tol: float = MERGE_TOL) -> np.ndarray:
-    """Sorted union of breakpoint grids, deduplicated with tolerance ``tol``."""
+def merge_grids(*grids) -> np.ndarray:
+    """Sorted union of breakpoint grids, deduplicated with tolerance ``MERGE_TOL``."""
     allts = np.sort(np.concatenate([np.asarray(g, dtype=float).ravel() for g in grids]))
     if allts.size == 0:
         return allts
     keep = np.ones(allts.size, dtype=bool)
-    keep[1:] = np.diff(allts) > tol
+    keep[1:] = np.diff(allts) > MERGE_TOL
     return allts[keep]
 
 
@@ -164,17 +161,17 @@ class CpwlCurve:
         t = np.asarray(t, dtype=float)
         return np.stack([c(t) for c in self.components], axis=-1)
 
-    def is_compact(self, tol: float = 1e-10) -> bool:
+    def is_compact(self, tol: float = TAIL_TOL) -> bool:
         return all(abs(c.left_tail) <= tol and abs(c.right_tail) <= tol
                    for c in self.components)
 
-    def check_support(self, tol: float = 1e-10):
+    def check_support(self):
         """Compactly supported curves must live inside [0, L]."""
-        if not self.is_compact(tol):
+        if not self.is_compact():
             raise SupportError("curve has nonzero tails")
         for c in self.components:
-            lo, hi = _support_hull(c, tol)
-            if lo < -tol or hi > self.L + tol:
+            lo, hi = _support_hull(c)
+            if lo < -TAIL_TOL or hi > self.L + TAIL_TOL:
                 raise SupportError(
                     f"support [{lo}, {hi}] exceeds window [0, {self.L}]")
 
@@ -182,8 +179,8 @@ class CpwlCurve:
         return max(c.max_abs() for c in self.components)
 
 
-def _support_hull(c: ScalarCpwl, tol: float):
-    nz = np.nonzero(np.abs(c.vs) > tol)[0]
+def _support_hull(c: ScalarCpwl):
+    nz = np.nonzero(np.abs(c.vs) > TAIL_TOL)[0]
     if nz.size == 0:
         return 0.0, 0.0
     lo = c.ts[max(nz[0] - 1, 0)]

@@ -19,6 +19,8 @@ from .cpwl import CpwlCurve, ScalarCpwl, curve_add, curve_scale, merge_grids
 from .reductions import FiniteStateSystem
 from .refinement import RefinementOp, check_breakpoint_cap
 
+EDGE_TOL = 1e-12  # the edge condition A_j e = P_{j+1} - P_j holds to this
+
 
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
@@ -51,12 +53,12 @@ class PolygonalInstance:
         """Straight endpoint-extended profile from P_0 to P_M."""
         return straight_anchor(self.chain[0], self.chain[-1])
 
-    def check_edges(self, tol: float = 1e-12):
+    def check_edges(self):
         e = np.zeros(self.p)
         e[0] = 1.0
         for j, A in enumerate(self.matrices):
             err = np.max(np.abs(A @ e - (self.chain[j + 1] - self.chain[j])))
-            if err > tol:
+            if err > EDGE_TOL:
                 raise ValueError(f"{self.name}: edge condition fails at j={j} ({err})")
 
 
@@ -137,7 +139,7 @@ def hilbert_rp(p: int) -> PolygonalInstance:
         mats = new_mats
     inst = PolygonalInstance(f"hilbert_rp{p}", chain,
                              tuple(0.5 * U for U in mats))
-    inst.check_edges(1e-12)
+    inst.check_edges()
     return inst
 
 

@@ -29,6 +29,9 @@ _SPARSE_MIN_SIZE = 250_000
 _EVAL_BUDGET = 16 * 2 ** 20
 # points per evaluation tile: at width 18 its two activations hold 1.2 MB, in L2
 _EVAL_POINTS = 4096
+# OpenBLAS's gemm runs the points in panels of this many columns, and a
+# partial panel through a tail kernel that sums in another order
+_PANEL = 8
 # neighbouring diagonal blocks of a layer merge while the merged block holds at
 # most this many times the entries of the finest blocks inside it: each block
 # costs the evaluator one matmul call, each entry one multiply-add per point
@@ -36,7 +39,12 @@ _BLOCK_MERGE = 2
 
 
 def _eval_tile(widest: int) -> int:
-    return max(1, min(_EVAL_POINTS, _EVAL_BUDGET // (8 * widest)))
+    return max(1, min(_EVAL_POINTS, _EVAL_BUDGET // (8 * widest)) // _PANEL) * _PANEL
+
+
+def _panels(n: int) -> int:
+    """The columns of a tile of n points: n rounded up to whole panels."""
+    return -(-n // _PANEL) * _PANEL
 
 
 def _issparse(W) -> bool:
@@ -127,20 +135,22 @@ class ReluNetwork:
         Points are evaluated one column each, in tiles of at most
         ``_EVAL_POINTS`` points and ``_EVAL_BUDGET`` bytes per activation, so
         the memory beside the output is fixed for any N and stage, and a
-        narrow net's tile stays in L2 cache.  Layers write alternately into
-        two buffers allocated once per call: allocating each activation afresh
-        lets the allocator hand pages back and fault them in again per layer.
+        narrow net's tile stays in L2 cache.  Every tile runs as whole
+        panels of ``_PANEL`` columns (``_panels``), padded with zero points,
+        so BLAS sums each point in one order whatever call it comes in, bar
+        blocks of several hundred columns, which OpenBLAS's small-matrix
+        path sums in another order in small calls.
+        Layers write alternately into two buffers allocated once per call:
+        allocating each activation afresh lets the allocator hand pages back
+        and fault them in again per layer.
 
         Each layer runs as the steps of the evaluation plan, built on the
         first call and cached (``_plan``) on the live rows only
         (``_live_layers``): one matmul per contiguous diagonal block of W,
-        most of which multiply [W | b] by their input rows and a ones row,
-        one fill of the ones rows that the next layer reads, and one ReLU.
-        Only one-row blocks add their bias apart (``_build_plan``).  The
-        input tile's ones rows are set once per call.  A lone point runs as
-        two columns: numpy would run one column as matrix-vector products,
-        which sum in another order than the matrix products of every other
-        tile.  ``eval_exact`` walks the same plan in exact arithmetic.
+        each block with a bias multiplying [W | b] by its input rows and a
+        ones row, one fill of the ones rows that the next layer reads, and
+        one ReLU.  The input tile's ones rows are set once per call.
+        ``eval_exact`` walks the same plan in exact arithmetic.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -150,23 +160,22 @@ class ReluNetwork:
         plan = self._plan()
         widest = max(step[0] for step in plan.steps)
         tile = _eval_tile(widest)
-        n = max(2, min(tile, x.shape[0]))
+        n = _panels(min(tile, x.shape[0]))
         out = np.empty((x.shape[0], self.output_dim))
         bufs = np.empty((2, widest * n))
         inputs = np.empty(plan.rows * n)
         for s in range(0, x.shape[0], tile):
             xs = x[s:s + tile]
-            m = max(2, len(xs))
+            m = _panels(len(xs))
             y = inputs[:plan.rows * m].reshape(plan.rows, m)
             if s == 0 or m < tile:  # a shorter last tile moves the ones rows
                 y[plan.ones] = 1.0
-            y[plan.x_rows] = xs.T
-            for i, (rows, mats, adds, ones, relu) in enumerate(plan.steps):
+            y[plan.x_rows, :len(xs)] = xs.T
+            y[plan.x_rows, len(xs):] = 0.0
+            for i, (rows, mats, ones, relu) in enumerate(plan.steps):
                 buf = bufs[i % 2, :rows * m].reshape(rows, m)
                 for rs, cs, W in mats:
                     np.matmul(W, y[cs], out=buf[rs])
-                for rs, b in adds:
-                    buf[rs] += b
                 if ones.size:
                     buf[ones] = 1.0
                 if relu:
@@ -193,7 +202,7 @@ def _live_layers(layers):
     has a nonzero weight on it.  A dead row adds only exact 0 * y terms to
     the outputs, so dropping it keeps every sum that BLAS adds in index
     order bitwise; a one-row block runs as a matrix-vector product, which
-    OpenBLAS sums in interleaved lanes, so there it can move by an ulp."""
+    OpenBLAS sums in interleaved lanes, so its sums can move by an ulp."""
     out, rows = [], slice(None)      # the live rows of the layer being cut
     for k in range(len(layers) - 1, -1, -1):
         l = layers[k]
@@ -266,9 +275,9 @@ def _dense(W) -> np.ndarray:
 class _Plan(NamedTuple):
     """A float64 evaluation plan.  The input tile has ``rows`` rows: the
     point coordinates at ``x_rows`` and ones rows at ``ones``.  Each layer
-    is a step (rows, [(row slice, column slice, W)], [(row slice, bias
-    column)], ones rows, relu), and ``entries`` counts the weights that the
-    blocks multiply per point, their bias columns and zero rows aside."""
+    is a step (rows, [(row slice, column slice, W)], ones rows, relu), and
+    ``entries`` counts the weights that the blocks multiply per point, their
+    bias columns and zero rows aside."""
     rows: int
     x_rows: np.ndarray
     ones: np.ndarray
@@ -279,29 +288,24 @@ class _Plan(NamedTuple):
 def _build_plan(input_dim: int, layers) -> _Plan:
     """The evaluation plan of ``layers``, built from the last layer back.
 
-    A diagonal block of two or more rows multiplies [W | b] by its input
-    rows followed by a ones row: the bias comes last in the sum, so BLAS
-    adds it after the weights exactly as a separate add would (within one
-    dgemm panel of K, 256 columns or more).  Each activation therefore holds
-    a ones row right after the column range of every such block of the next
-    layer, all set by one fill per layer, and a block whose rows straddle a
-    ones row holds a zero row there.  A block with no weights multiplies its
-    bias by any ones row.  A one-row block adds its bias apart: numpy runs
-    it as a matrix-vector product, which OpenBLAS sums in interleaved lanes.
+    Every diagonal block with a nonzero bias multiplies [W | b] by its input
+    rows followed by a ones row, so the bias is the last term of each sum.
+    Each activation therefore holds a ones row right after the column range
+    of every such block of the next layer, all set by one fill per layer,
+    and a block whose rows straddle a ones row holds a zero row there.  A
+    block with no weights multiplies its bias by any ones row.
     """
     steps, entries, after = [], 0, []
     for l, blocks in zip(layers[::-1], _diagonal_blocks(layers)[::-1]):
         n_out, n_in = l.weights.shape
-        fold = [c1 <= c0 or (r1 - r0 > 1 and bool(np.any(l.bias[r0:r1])))
-                for r0, r1, c0, c1 in blocks]
+        fold = [c1 <= c0 or bool(np.any(l.bias[r0:r1])) for r0, r1, c0, c1 in blocks]
         need = sorted({c1 - 1 for (_, _, c0, c1), f in zip(blocks, fold) if f and c1 > c0})
         if not need and any(c1 <= c0 for _, _, c0, c1 in blocks):
             need = [n_in - 1]
         out, out_ones = _layout(n_out, after)
         inp, in_ones = _layout(n_in, need)
-        mats, adds = [], []
+        mats = []
         for (r0, r1, c0, c1), f in zip(blocks, fold):
-            b = l.bias[r0:r1]
             rs = slice(out[r0], out[r1 - 1] + 1)
             if c1 > c0:
                 W = _dense(l.weights[r0:r1, c0:c1])
@@ -311,16 +315,14 @@ def _build_plan(input_dim: int, layers) -> _Plan:
                 cs = slice(in_ones[-1], in_ones[-1] + 1)
             entries += W.size
             if f:
-                W = np.hstack([W, b[:, None]])
-            elif np.any(b):
-                adds.append((rs, b[:, None]))
+                W = np.hstack([W, l.bias[r0:r1, None]])
             if rs.stop - rs.start > r1 - r0:      # zero rows under the ones rows
                 M = np.zeros((rs.stop - rs.start, W.shape[1]))
                 M[np.array(out[r0:r1]) - rs.start] = W
                 W = M
             mats.append((rs, cs, W))
-        steps.append((n_out + len(after), tuple(mats), tuple(adds),
-                      np.array(out_ones, dtype=int), l.activation == "relu"))
+        steps.append((n_out + len(after), tuple(mats), np.array(out_ones, dtype=int),
+                      l.activation == "relu"))
         after = need
     pos, ones = _layout(input_dim, after)
     return _Plan(input_dim + len(after), np.array(pos, dtype=int), np.array(ones, dtype=int),
@@ -351,7 +353,7 @@ def eval_exact(net: ReluNetwork, x) -> np.ndarray:
     Float64 weights and biases are dyadic rationals, and so must x be.  Each
     layer carries integer numerators over one power of two, and walks the
     plan's blocks, multiplying their nonzero weights only, with the ones
-    rows as exact 1s, and the one-row blocks' bias adds.
+    rows as exact 1s.
     """
     x = np.asarray(x, dtype=object)
     if x.shape[-1] != net.input_dim:
@@ -360,17 +362,15 @@ def eval_exact(net: ReluNetwork, x) -> np.ndarray:
     x0, s = _dyadic(np.atleast_2d(x).T)
     y = np.zeros((plan.rows, x0.shape[1]), dtype=object)
     y[plan.x_rows], y[plan.ones] = x0, 1 << s
-    for rows, mats, adds, ones, relu in plan.steps:
+    for rows, mats, ones, relu in plan.steps:
         nz = [np.nonzero(W) for _, _, W in mats]
-        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)] + [b[:, 0] for _, b in adds]
+        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)]
         nums, a = _dyadic(np.concatenate([np.zeros(0), *vals]))
         nums = np.split(nums, np.cumsum([v.size for v in vals]))
         acc = np.zeros((rows, y.shape[1]), dtype=object)
         for (rs, cs, _), (i, j), w in zip(mats, nz, nums):
             starts = np.flatnonzero(np.diff(i, prepend=-1))
             acc[rs][i[starts]] = np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
-        for (rs, _), b in zip(adds, nums[len(mats):]):
-            acc[rs] += b[:, None] << s
         acc[ones] = 1 << (a + s)
         y, s = (np.maximum(acc, 0) if relu else acc), a + s
     out = y.T.reshape(x.shape[:-1] + (net.output_dim,))
@@ -503,10 +503,10 @@ def net_stats(net: ReluNetwork) -> dict:
     """Sizes of ``net``; ``nnz`` counts its stored nonzero weights, and the
     rest read its float64 evaluation plan on the live rows: ``eval_entries``
     the weights it multiplies per point (bias columns and zero rows aside),
-    ``eval_calls`` the numpy calls a tile makes (matmuls, one-row bias adds,
-    fills of the ones rows and ReLUs), and ``eval_buffer_bytes`` the most
-    that an evaluation call holds in activation and input buffers, ones rows
-    included, beside its output."""
+    ``eval_calls`` the numpy calls a tile makes (matmuls, fills of the ones
+    rows and ReLUs), and ``eval_buffer_bytes`` the most that an evaluation
+    call holds in activation and input buffers, ones rows included, beside
+    its output."""
     plan = net._plan()
     widest = max(step[0] for step in plan.steps)
     return {
@@ -517,8 +517,8 @@ def net_stats(net: ReluNetwork) -> dict:
         "nnz": sum(l.weights.nnz if _issparse(l.weights) else np.count_nonzero(l.weights)
                    for l in net.layers),
         "eval_entries": plan.entries,
-        "eval_calls": sum(len(mats) + len(adds) + (ones.size > 0) + relu
-                          for _, mats, adds, ones, relu in plan.steps),
+        "eval_calls": sum(len(mats) + (ones.size > 0) + relu
+                          for _, mats, ones, relu in plan.steps),
         "eval_buffer_bytes": (2 * widest + plan.rows) * _eval_tile(widest) * 8,
     }
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from .network import Layer, ReluNetwork
 
+INSIDE_TOL = 1e-9  # barycentric slack before a point counts as outside the fan
+
 
 @dataclass(frozen=True)
 class PlanarCpwlField:
@@ -43,7 +45,7 @@ class PlanarCpwlField:
         n = self.vertices.shape[0] - 1
         return np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
 
-    def __call__(self, pts, tol: float = 1e-9):
+    def __call__(self, pts):
         """Direct barycentric evaluation (oracle path)."""
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
@@ -59,7 +61,7 @@ class PlanarCpwlField:
             if np.any(upd):
                 out[upd] = lam[upd] @ self.values[tri]
                 best[upd] = m[upd]
-        if np.any(best < -tol):
+        if np.any(best < -INSIDE_TOL):
             raise ValueError("point outside the triangulated region")
         return out[0] if single else out
 

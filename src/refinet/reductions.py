@@ -52,17 +52,17 @@ def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
     return CompiledIterate(net, n, "affine", {"jobs": len(jobs)})
 
 
-def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve,
-                    tol: float = 1e-10):
+def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve):
     """Defect E = V Gamma + B - Gamma; returns (E, compact_flag).
 
-    E is compact iff the anchor tails are fixed by the tail maps:
-    S Gamma_- + B_- = Gamma_- and likewise at +infinity.
+    E is compact (tails within ``cpwl.TAIL_TOL``) iff the anchor tails are
+    fixed by the tail maps: S Gamma_- + B_- = Gamma_- with S = sum_j A_j,
+    and likewise at +infinity.
     """
     E = curve_add(apply_v(op, Gamma), curve_scale(Gamma, -1.0))
     if B is not None:
         E = curve_add(E, B)
-    compact = E.is_compact(tol)
+    compact = E.is_compact()
     if compact:
         # zero out the roundoff tails so the defect is exactly compact
         comps = []

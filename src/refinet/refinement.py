@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwl import (CpwlCurve, DegenerateDilationError, ScalarCpwl,
-                   SupportError, merge_grids, zero_curve)
+from .cpwl import CpwlCurve, ScalarCpwl, SupportError, merge_grids, zero_curve
 
 SNAP_TOL = 1e-12
 BREAKPOINT_CAP = 10_000_000
@@ -31,7 +30,7 @@ class RefinementOp:
 
     def __post_init__(self):
         if self.M < 2:
-            raise DegenerateDilationError("dilation factor must be >= 2")
+            raise ValueError("dilation factor must be >= 2")
         if self.p < 1 or self.L < 1:
             raise ValueError("p and L must be positive")
         mask = {}
@@ -47,14 +46,6 @@ class RefinementOp:
                     f"[0, {(self.M - 1) * self.L}]")
             mask[int(j)] = A
         object.__setattr__(self, "mask", mask)
-
-    @property
-    def S(self) -> np.ndarray:
-        """Mask sum, governing tail behaviour of anchored profiles."""
-        S = np.zeros((self.p, self.p))
-        for A in self.mask.values():
-            S += A
-        return S
 
     def mask_array(self):
         js = sorted(self.mask)

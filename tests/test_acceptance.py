@@ -282,7 +282,7 @@ def test_criterion_13_rp_hilbert_generator():
         for A in inst.op().mask.values():
             U = 2.0 * A
             worst = max(worst, float(np.max(np.abs(U @ U.T - np.eye(p)))))
-        inst.check_edges(1e-12)
+        inst.check_edges()
     ok = worst <= 1e-12
     report(13, "R^p Hilbert generator", ok,
            f"orthogonality err={worst:.3e} tol=1e-12, edge condition holds")

@@ -1,3 +1,4 @@
+import argparse
 import json
 from unittest import mock
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from refinet import refinement
-from refinet.cli import main, parse_operator_spec, SpecParseError
+from refinet.cli import _build, _verify_grid, main, parse_operator_spec, SpecParseError
 from refinet.network import load_network
+from test_network import _check_exact
 
 
 SPEC = {"M": 2, "p": 1, "L": 1,
@@ -100,6 +102,19 @@ def test_verify_connector_low_stages(stage, capsys):
     rc = main(["verify", "--example", "hilbert", "--stage", stage, "--tol", "1e-6"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_folds_one_row_bias(capsys):
+    # morton3's anchored stage-1 net holds a one-row block with bias 0.25,
+    # which folds into its matmul as every other bias does
+    rc = main(["verify", "--example", "morton3", "--stage", "1", "--tol", "1e-6"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+    ci, _, op = _build(argparse.Namespace(spec=None, example="morton3", mode="anchored",
+                                          stage=1))
+    assert any(W.shape[0] == 1 and W[0, -1] == 0.25
+               for _, mats, _, _ in ci.net._plan().steps for *_, W in mats)
+    _check_exact(ci.net, _verify_grid(op.M, 1, op.L, 1000)[:, None])
 
 
 def test_build_writes_network(spec_file, tmp_path):
@@ -214,6 +229,12 @@ def test_negative_stage_is_precondition_error(cmd, tmp_path, capsys):
                "--out", str(tmp_path / "out.json")])
     assert rc == 3
     assert "precondition error" in capsys.readouterr().err
+
+
+def test_dilation_below_two_is_precondition_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {**SPEC, "M": 1, "mask": [{"j": 0, "A": [[1.0]]}]})
+    assert main(["build", "--spec", spec, "--mode", "homogeneous"]) == 3
+    assert "dilation factor must be >= 2" in capsys.readouterr().err
 
 
 def test_missing_source_errors():

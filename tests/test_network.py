@@ -174,7 +174,7 @@ def test_plan_splits_layers_into_diagonal_blocks():
         # follows each in the input
         assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (7, [0, 1, 3, 4, 5],
                                                                          [2, 6])
-        (rows, mats, adds, ones, relu), _ = plan.steps
+        (rows, mats, ones, relu), _ = plan.steps
         # zero rows join the block above while it at most doubles; rows 5-6
         # have no weights and multiply their bias by a ones row
         assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 3)),
@@ -182,35 +182,34 @@ def test_plan_splits_layers_into_diagonal_blocks():
                                                     (slice(5, 7), slice(6, 7))]
         assert [M.tolist() for *_, M in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
                                                   [[4, 5, 0], [0, 0, 3]], [[0], [0]]]
-        assert (rows, adds, ones.tolist(), relu) == (7, (), [], True)
+        assert (rows, ones.tolist(), relu) == (7, [], True)
     assert net_stats(net)["eval_entries"] == 6 + 4 + 7
     x = np.random.default_rng(6).normal(size=(9, 5))
     assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
 
 
-def test_plan_adds_one_row_biases_apart():
-    # rows 0-1 of the output read hidden row 0 and fold their bias, so a ones
-    # row follows hidden row 0.  The one-row blocks add their biases apart.
+def test_plan_folds_one_row_biases():
+    # one-row blocks fold their bias as every other block does: hidden row 0
+    # multiplies [1 2 3 | 0.5] by x0-x2 and a ones row, and output row 2
+    # [3 4 | 1] by hidden rows 1-2 and a ones row
     net = ReluNetwork(4, [Layer(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 2.0],
                                           [0.0, 0.0, 0.0, 3.0]]),
                                 np.array([0.5, 1.0, 2.0]), "relu"),
                           Layer(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 4.0]]),
                                 np.array([1.0, 1.0, 1.0]), "linear")])
     plan = net._plan()
-    assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (5, [0, 1, 2, 3], [4])
-    (rows, mats, adds, ones, _), (rows2, mats2, adds2, ones2, _) = plan.steps
+    assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (6, [0, 1, 2, 4], [3, 5])
+    (rows, mats, ones, _), (rows2, mats2, ones2, _) = plan.steps
     assert [(rs, cs, M.tolist()) for rs, cs, M in mats] == [
-        (slice(0, 1), slice(0, 3), [[1.0, 2.0, 3.0]]),
-        (slice(2, 4), slice(3, 5), [[2.0, 1.0], [3.0, 2.0]])]
-    assert [(rs, c.tolist()) for rs, c in adds] == [(slice(0, 1), [[0.5]])]
-    assert (rows, ones.tolist()) == (4, [1])
+        (slice(0, 1), slice(0, 4), [[1.0, 2.0, 3.0, 0.5]]),
+        (slice(2, 4), slice(4, 6), [[2.0, 1.0], [3.0, 2.0]])]
+    assert (rows, ones.tolist()) == (5, [1, 4])
     assert [(rs, cs, M.tolist()) for rs, cs, M in mats2] == [
         (slice(0, 2), slice(0, 2), [[1.0, 1.0], [2.0, 1.0]]),
-        (slice(2, 3), slice(2, 4), [[3.0, 4.0]])]
-    assert [(rs, c.tolist()) for rs, c in adds2] == [(slice(2, 3), [[1.0]])]
+        (slice(2, 3), slice(2, 5), [[3.0, 4.0, 1.0]])]
     assert (rows2, ones2.tolist()) == (3, [])
-    # matmuls, bias adds, the fill of the ones rows and the ReLU
-    assert net_stats(net)["eval_calls"] == (2 + 1 + 1 + 1) + (2 + 1)
+    # matmuls, the fill of the ones rows and the ReLU
+    assert net_stats(net)["eval_calls"] == (2 + 1 + 1) + 2
     x = np.random.default_rng(6).normal(size=(9, 4))
     assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
     _check_exact(net, x)
@@ -218,11 +217,12 @@ def test_plan_adds_one_row_biases_apart():
 
 @pytest.mark.parametrize("rows", [2, 3, 8, 17])
 def test_bias_folded_last_is_added_as_apart(rows):
-    # the premise of the plan: in a block of two or more rows, a bias in the
-    # last column is added after the weight sum, exactly as a separate add,
-    # within one dgemm panel of K (256 columns or more), at least for points
-    # in whole groups of eight: the last few points of a tile may run
-    # through a BLAS tail kernel that sums in lanes
+    # in a block of two or more rows, a bias in the last column is added
+    # after the weight sum, exactly as a separate add, within one dgemm panel
+    # of K (256 columns or more), for points in whole panels of eight, as
+    # every tile runs: a partial panel goes through a BLAS tail kernel that
+    # sums in lanes.  A one-row block runs as a matrix-vector product, which
+    # OpenBLAS sums in lanes, so folding its bias may move it by an ulp.
     rng = np.random.default_rng(rows)
     for k in [1, 2, 5, 16, 63, 127, 255]:
         for n in [8, 2000]:

@@ -85,13 +85,6 @@ def test_mask_support_validation():
         RefinementOp(2, 1, 1, {0: [[1.0, 0.0]]})  # bad shape
 
 
-def test_tail_sum_matrix():
-    op = random_op(2, 2, 1, 3)
-    S = op.S
-    want = sum(op.mask.values())
-    assert np.max(np.abs(S - want)) < 1e-14
-
-
 def test_apply_v_matches_definition():
     for (M, p, L, seed) in [(2, 1, 1, 4), (3, 2, 1, 5), (2, 2, 2, 6)]:
         op = random_op(M, p, L, seed)

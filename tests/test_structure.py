@@ -120,7 +120,7 @@ def test_eval_holds_one_tile_of_buffers():
     # the output, the buffers of one tile, and 16 KiB for the call's own
     # objects: no bias add broadcasts through numpy's 64 KiB ufunc buffer
     assert peak <= stats["eval_buffer_bytes"] + out.nbytes + 2 ** 14
-    with mock.patch.object(network, "_EVAL_POINTS", x.shape[0]):
+    with mock.patch.object(network, "_EVAL_POINTS", network._panels(x.shape[0])):
         assert np.array_equal(out, net(x))
     # the benchmark's 2000-point batches are one tile at each benchmark width
     assert all(network._eval_tile(w) >= 2000 for w in (16, 126, 72))
@@ -133,10 +133,13 @@ def test_eval_holds_one_tile_of_buffers():
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_plans_fold_every_bias(build, ceiling):
     # a layer is its matmuls, a fill of its ones rows and its ReLU: every
-    # bias folds into its block's matmul except those of one-row blocks
+    # ones row is the bias column of some block of the next layer
     net = build().net
-    for _, _, adds, _, _ in net._plan().steps:
-        assert all(rs.stop - rs.start == 1 for rs, _ in adds)
+    plan = net._plan()
+    ones = plan.ones
+    for _, mats, out_ones, _ in plan.steps:
+        assert set(ones.tolist()) <= {cs.stop - 1 for _, cs, _ in mats}
+        ones = out_ones
     calls = net_stats(net)["eval_calls"]
     assert calls <= ceiling, (calls, ceiling)
 
@@ -146,13 +149,12 @@ def test_benchmark_plans_fold_every_bias(build, ceiling):
                          ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_eval_is_stable_across_call_sizes(build):
     # OpenBLAS picks its gemm kernel by the number of points in a tile, and
-    # runs the last few of them through a tail kernel that sums in lanes, so
-    # a point's value may depend on the call it comes in by an ulp.  The
-    # scalar net's blocks are narrow enough to add in one order regardless.
+    # runs a partial panel of eight points through a tail kernel that sums
+    # in lanes; every tile runs as whole panels, padded with zero points, so
+    # a point's value does not depend on the call it comes in
     net = build().net
     x = np.random.default_rng(12).uniform(size=(3 * network._EVAL_POINTS + 1, 1))
-    with mock.patch.object(network, "_EVAL_POINTS", x.shape[0]):
+    with mock.patch.object(network, "_EVAL_POINTS", 4 * network._EVAL_POINTS):
         whole = net(x)
-    tol = 0.0 if build is scalar_deep else 1e-15 * np.max(np.abs(whole))
-    for n in [1, 3, 100, 777, 2000, x.shape[0]]:
-        assert np.max(np.abs(net(x[:n]) - whole[:n])) <= tol, n
+    for n in [*range(1, 41), 100, 777, 2000, x.shape[0]]:
+        assert np.array_equal(net(x[:n]), whole[:n]), n
