@@ -28,9 +28,9 @@ import numpy as np
 from .cpwl import CpwlCurve, ScalarCpwl, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
                    scalar_field, selector_field)
-from .network import (Layer, ReluNetwork, affine_net, lower_curve_1d,
-                      net_stats, passthrough, post_affine, pre_affine, serial,
-                      stack_nets)
+from .network import (Layer, ReluNetwork, affine_net, cut_tail,
+                      lower_curve_1d, net_stats, passthrough, post_affine,
+                      serial, stack_nets)
 from .planar import lower_planar_field
 from .refinement import RefinementOp, block_transition, transition_norm
 
@@ -71,11 +71,10 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
 
 @dataclass
 class LoopAssets:
-    """Lowered controller pieces shared by every atomic net of one stage:
-    the embedding, the controller and the selectors (chi_0..chi_{M-1}),
-    each a single net."""
+    """Lowered controller pieces shared by every gated stage of one stage
+    count: the controller and the selectors (chi_0..chi_{M-1}), each a
+    single net."""
 
-    net_E: ReluNetwork
     net_F: ReluNetwork
     net_chi: ReluNetwork
 
@@ -93,32 +92,38 @@ def _controller_net(M: int) -> ReluNetwork:
 @lru_cache(maxsize=None)
 def loop_assets(M: int, n: int) -> LoopAssets:
     """Each field is lowered once per value of what it depends on: the
-    embedding on nothing, the controller on M, and the selectors on
-    (M, n).  The scalar field H is lowered once per hat by
-    ``_scalar_net``."""
-    return LoopAssets(_embed_net(), _controller_net(M),
+    controller on M and the selectors on (M, n); the embedding
+    (``_embed_net``) on nothing, and the scalar field H once per hat
+    (``_scalar_head``)."""
+    return LoopAssets(_controller_net(M),
                       lower_planar_field(selector_field(LoopConfig(M, n))))
 
 
+def _beside_E(net: ReluNetwork) -> ReluNetwork:
+    """(z, E) -> (net(z), E), E carried on two nonnegative channels."""
+    return stack_nets([net, passthrough(2, "nonneg", net.depth)], [[0, 1], [2, 3]], 4)
+
+
 @lru_cache(maxsize=None)
-def _scalar_net(ts: tuple, vs: tuple) -> ReluNetwork:
-    """H, lowered once per hat (ts, vs)."""
+def _controller_step(M: int) -> ReluNetwork:
+    """One controller step of the scalar factor net, built once per M."""
+    return _beside_E(_controller_net(M))
+
+
+@lru_cache(maxsize=None)
+def _scalar_head(ts: tuple, vs: tuple) -> ReluNetwork:
+    """H beside the carry of E, built once per hat (ts, vs)."""
     h = SpecialHat(ScalarCpwl(np.array(ts), np.array(vs)))
-    return lower_planar_field(scalar_field(h))
+    return _beside_E(lower_planar_field(scalar_field(h)))
 
 
 def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
     """x in [0, 1] -> (h(R^n(x)), E(x)), E(x) carried on two nonnegative
     channels."""
-    assets = loop_assets(M, n)
-    net_H = _scalar_net(tuple(h.base.ts), tuple(h.base.vs))
     # x -> (z, E(x)) with z = E(x)
-    start = post_affine(assets.net_E, np.vstack([np.eye(2)] * 2), np.zeros(4))
-    step = stack_nets([assets.net_F, passthrough(2, "nonneg", assets.net_F.depth)],
-                      [[0, 1], [2, 3]], 4)
-    head = stack_nets([net_H, passthrough(2, "nonneg", net_H.depth)],
-                      [[0, 1], [2, 3]], 4)
-    return serial(start, *[step] * n, head)
+    start = post_affine(_embed_net(), np.vstack([np.eye(2)] * 2), np.zeros(4))
+    return serial(start, *[_controller_step(M)] * n,
+                  _scalar_head(tuple(h.base.ts), tuple(h.base.vs)))
 
 
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
@@ -203,20 +208,24 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
     # Cell k's net runs on t - k unclamped: E's lowering is constant off
     # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
     # 0 outside its cell.  The core depends on the hat alone, so every
-    # shift and cell of a hat shares one.
-    cores, cells = {}, []
+    # shift and cell of a hat shares one, cut once per set of branch
+    # channels that cells read: no unit stays behind the other channels,
+    # nor behind z, which no stage reads after the last digit.
+    cores, cuts, cells = {}, {}, []
     for (shift, hat_key), ts in groups.items():
         if hat_key not in cores:
             cores[hat_key] = atomic_core_net(op, ts[0].hat, n)
-        core = cores[hat_key]
         for k in range(L):
             Wk = np.zeros((p, pL * pL))
             for t in ts:
                 for r in range(p):
                     Wk[r, (k * p + r) * pL + t.direction] += t.coeff
-            cells.append(pre_affine(post_affine(core, Wk, np.zeros(p)),
-                                    np.array([[1.0]]),
-                                    np.array([-scale * shift - k])))
+            read = np.flatnonzero(Wk.any(axis=0))
+            key = (hat_key, read.tobytes())
+            if key not in cuts:
+                cuts[key] = cut_tail(cores[hat_key], read)
+            cells.append(serial(affine_net([[1.0]], [-scale * shift - k]), cuts[key],
+                                affine_net(Wk[:, read], np.zeros(p))))
     return cells, len(terms), len(groups)
 
 

@@ -196,23 +196,36 @@ class ReluNetwork:
         return self(t[:, None])
 
 
-def _live_layers(layers):
-    """``layers`` cut to their live rows.  Every output row is live, and a
-    row of an earlier layer is live when some live row of the next layer
-    has a nonzero weight on it.  A dead row adds only exact 0 * y terms to
-    the outputs, so dropping it keeps every sum that BLAS adds in index
-    order bitwise; a one-row block runs as a matrix-vector product, which
-    OpenBLAS sums in interleaved lanes, so its sums can move by an ulp."""
-    out, rows = [], slice(None)      # the live rows of the layer being cut
+def _live_layers(layers, rows=slice(None), tail: bool = False):
+    """``layers`` cut to the live rows behind the output rows ``rows`` (all
+    by default).  A row of an earlier layer is live when some live row of
+    the next layer has a nonzero weight on it.  A dead row adds only exact
+    0 * y terms to the outputs, so dropping it keeps every sum that BLAS
+    adds in index order bitwise; a one-row block runs as a matrix-vector
+    product, which OpenBLAS sums in interleaved lanes, so its sums can move
+    by an ulp.  With ``tail`` the cut stops at the first layer that loses
+    no row, and the layers before it stay as they are."""
+    out = []
     for k in range(len(layers) - 1, -1, -1):
         l = layers[k]
-        W, b = l.weights[rows], l.bias[rows]
+        W, b = l.weights[rows], l.bias[rows]    # rows: the live rows of layer k
         if k:
             used = np.asarray((W != 0).sum(axis=0)).ravel() > 0
             rows = slice(None) if used.all() else np.flatnonzero(used)
             W = W[:, rows]
         out.append(Layer(W, b, l.activation))
+        if tail and isinstance(rows, slice):
+            return [*layers[:k], *out[::-1]]
     return out[::-1]
+
+
+def cut_tail(net: ReluNetwork, outputs) -> ReluNetwork:
+    """``net`` restricted to its output rows ``outputs``, without the units
+    that they do not read: its live rows (``_live_layers``), cut back to the
+    first layer that loses no row.  A net whose dead units all sit behind
+    unread outputs, as every compiled core's do, keeps no dead unit."""
+    return ReluNetwork._canonical(
+        net.input_dim, _live_layers(net.layers, outputs, tail=True))
 
 
 def _diagonal_blocks(layers):
@@ -389,11 +402,17 @@ def affine_net(W, b) -> ReluNetwork:
 def serial(*nets) -> ReluNetwork:
     """Feed each network's output into the next.  Only the seams fold: the
     output layer of each net into the first layer of the next."""
-    layers = list(nets[0].layers)
+    layers, seams = list(nets[0].layers), {}
     for prev, net in zip(nets, nets[1:]):
         if prev.output_dim != net.input_dim:
             raise ValueError("serial dimension mismatch")
-        layers.append(_fold(layers.pop(), net.layers[0]))
+        last = layers.pop()
+        # a repeated (prev, net) seam folds once, bar a one-layer prev, whose
+        # popped layer is the previous seam's fold and not its own
+        seam = seams.get((prev, net)) if len(prev.layers) > 1 else None
+        if seam is None:
+            seam = seams[prev, net] = _fold(last, net.layers[0])
+        layers.append(seam)
         layers.extend(net.layers[1:])
     return ReluNetwork._canonical(nets[0].input_dim, layers)
 
@@ -424,7 +443,7 @@ def passthrough(dim: int, sign: str = "general", depth: int = 1) -> ReluNetwork:
         raise ValueError("sign must be 'nonneg' or 'general'")
     z2 = np.zeros(2 * dim)
     split = np.vstack([I, -I])
-    swap = np.block([[I, -I], [-I, I]])
+    swap = np.hstack([split, -split])
     layers = [Layer(split, z2, "relu")]
     for _ in range(depth - 1):
         layers.append(Layer(swap, z2, "relu"))

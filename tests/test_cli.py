@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from refinet import refinement
+from refinet import cli, network, refinement
 from refinet.cli import _build, _verify_grid, main, parse_operator_spec, SpecParseError
 from refinet.network import load_network
 from test_network import _check_exact
@@ -115,6 +115,37 @@ def test_verify_folds_one_row_bias(capsys):
     assert any(W.shape[0] == 1 and W[0, -1] == 0.25
                for _, mats, _, _ in ci.net._plan().steps for *_, W in mats)
     _check_exact(ci.net, _verify_grid(op.M, 1, op.L, 1000)[:, None])
+
+
+SWEEP_EXAMPLES = ["koch", "levy", "heighway", "hilbert_type", "hilbert", "gosper",
+                  "morton2", "morton3", "hilbert_rp2", "hilbert_rp3"]
+
+
+def test_verify_sweep_passes_and_stores_no_dead_unit(capsys):
+    # every gallery example in each mode it honours, at stages 0-3 and the
+    # CLI's own --tol; each build's net stores only rows that its outputs read
+    nets = []
+
+    def build(args):
+        out = _build(args)
+        nets.append(out[0].net)
+        return out
+
+    runs = []
+    with mock.patch.object(cli, "_build", build):
+        for example in SWEEP_EXAMPLES:
+            kind = cli._source(argparse.Namespace(spec=None, example=example))[0]
+            for mode in cli.MODES[kind]:
+                for stage in range(4):
+                    run = (example, mode, stage)
+                    assert main(["verify", "--example", example, "--mode", mode,
+                                 "--stage", str(stage)]) == 0, run
+                    live = network._live_layers(nets[-1].layers)
+                    assert [l.weights.shape for l in live] == \
+                        [l.weights.shape for l in nets[-1].layers], run
+                    runs.append(run)
+    assert len(runs) == 64
+    assert capsys.readouterr().out.count("PASS") == 64
 
 
 def test_build_writes_network(spec_file, tmp_path):

@@ -9,11 +9,11 @@ from scipy import sparse
 
 from refinet import compile_anchored, gallery, network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, constant, hat
-from refinet.network import (Layer, ReluNetwork, affine_net, eval_exact,
-                             from_json_dict, identity_net, lower_curve_1d,
-                             lower_scalar_cpwl, net_stats, passthrough,
-                             post_affine, pre_affine, serial, stack_nets,
-                             to_json_dict)
+from refinet.network import (Layer, ReluNetwork, affine_net, cut_tail,
+                             eval_exact, from_json_dict, identity_net,
+                             load_network, lower_curve_1d, lower_scalar_cpwl,
+                             net_stats, passthrough, post_affine, pre_affine,
+                             save_network, serial, stack_nets, to_json_dict)
 from refinet.reductions import stack_curves, stack_system
 
 
@@ -88,6 +88,58 @@ def test_serial_and_affine_fold():
     ts = rng.uniform(-1, 2, 200)
     want = 3.0 * hat(0.0, 0.5, 1.0)(0.5 * ts + 0.25) + 1.0
     assert np.max(np.abs(g.eval_scalar_input(ts)[:, 0] - want)) < 1e-12
+
+
+def test_serial_folds_each_repeated_seam_once():
+    rng = np.random.default_rng(3)
+    a = _random_net(rng, 2, [3, 2])
+    b = _random_net(rng, 2, [4, 2])
+    lin = affine_net(rng.normal(size=(2, 2)), rng.normal(size=2))
+    with mock.patch.object(network, "_fold", wraps=network._fold) as fold:
+        chain = serial(a, *[b] * 4)
+    assert fold.call_count == 2
+    assert _same_layers(chain, [*a.layers, *[l for _ in range(4) for l in b.layers]])
+    # a one-layer net's seam folds into the previous fold, so each folds anew
+    with mock.patch.object(network, "_fold", wraps=network._fold) as fold:
+        chain = serial(b, *[lin] * 3)
+    assert fold.call_count == 3
+    assert _same_layers(chain, [*b.layers, *lin.layers * 3])
+
+
+def test_cut_tail_stops_at_first_full_layer():
+    # output 1 reads units 2-3 of the last hidden layer only, which read
+    # every unit of the layer before: the cut drops units 0-1 and stops there
+    rng = np.random.default_rng(4)
+    W1, W2 = rng.normal(size=(3, 1)), rng.normal(size=(4, 3))
+    W3 = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, -1.0]])
+    net = ReluNetwork(1, [Layer(W1, np.zeros(3), "relu"), Layer(W2, np.ones(4), "relu"),
+                          Layer(W3, np.zeros(2), "linear")])
+    cut = cut_tail(net, np.array([1]))
+    assert [l.weights.shape for l in cut.layers] == [(3, 1), (2, 3), (1, 2)]
+    assert cut.layers[0] is net.layers[0]
+    x = rng.normal(size=(20, 1))
+    assert np.allclose(cut(x)[:, 0], net(x)[:, 1], rtol=1e-14, atol=1e-14)
+
+
+def test_loaded_net_plans_its_live_rows_only(tmp_path):
+    # a dead unit in front of a layer that loses no row: a tail cut stops
+    # before it, and the plan of a net read from JSON still drops it
+    rng = np.random.default_rng(6)
+    W1 = rng.normal(size=(3, 2))
+    W2 = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0]])
+    net = ReluNetwork(2, [Layer(W1, np.array([0.0, 0.5, 0.25]), "relu"),
+                          Layer(W2, np.array([0.125, 0.0]), "relu"),
+                          Layer(np.array([[1.0, -1.0]]), np.zeros(1), "linear")])
+    assert [l.weights.shape for l in cut_tail(net, np.array([0])).layers] == \
+        [l.weights.shape for l in net.layers]
+    path = str(tmp_path / "net.json")
+    save_network(net, path)
+    back = load_network(path)
+    cut = ReluNetwork._canonical(2, network._live_layers(net.layers))
+    assert [l.weights.shape[0] for l in cut.layers] == [2, 2, 1]
+    assert [step[0] for step in back._plan().steps] == [step[0] for step in cut._plan().steps]
+    x = rng.normal(size=(50, 2))
+    assert back(x).tobytes() == cut(x).tobytes()
 
 
 def test_passthrough_exact():

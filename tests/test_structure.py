@@ -11,13 +11,14 @@ buffers of one point tile.  A change that grows one of these nets, or the
 work or memory of compiling or evaluating it, fails here, before it
 reaches a benchmark run.
 """
+import argparse
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from refinet import compiler, gallery, network
+from refinet import cli, compiler, gallery, network
 from refinet.compiler import compile_homogeneous
 from refinet.cpwl import CpwlCurve, hat
 from refinet.network import net_stats
@@ -47,14 +48,27 @@ def anchored(name, n):
     return compile_anchored(inst.op(), None, inst.anchor(), None, n)
 
 
+def cli_anchored(name, n):
+    """The CLI's anchored build of a gallery example, without its oracle."""
+    kind, op, src = cli._source(argparse.Namespace(spec=None, example=name))
+    return cli.MODES[kind]["anchored"][0](op, src, n)
+
+
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (99, 16, 2764, 8073)),
-    (lambda: anchored("koch", 3), (25, 126, 5159, 20341)),
-    (lambda: anchored("heighway", 8), (190, 72, 26537, 97937)),
+    (scalar_deep, (99, 16, 2732, 8073)),
+    (lambda: anchored("koch", 3), (25, 122, 4673, 20341)),
+    (lambda: anchored("heighway", 8), (190, 72, 25877, 97937)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
     assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
+
+
+@pytest.mark.parametrize("name, width", [("hilbert", 278), ("morton3", 2438)])
+def test_gallery_stage3_within_width_ceiling(name, width):
+    # every core is cut to the branch channels that its cells read
+    got = net_stats(cli_anchored(name, 3).net)["width"]
+    assert got <= width, (got, width)
 
 
 @pytest.mark.parametrize("build", [scalar_deep, lambda: anchored("koch", 3),
@@ -96,9 +110,9 @@ def stacked_rows(build):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep_sweep, 1648),
-    (lambda: anchored("koch", 3), 2050),
-    (lambda: anchored("heighway", 8), 10338),
+    (scalar_deep_sweep, 1108),
+    (lambda: anchored("koch", 3), 1786),
+    (lambda: anchored("heighway", 8), 9786),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
     rows = stacked_rows(build)
