@@ -69,16 +69,6 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
     return ReluNetwork(N + 1, [l1, Layer(np.hstack([I, -I]), np.zeros(N), "linear")])
 
 
-@dataclass
-class LoopAssets:
-    """Lowered controller pieces shared by every gated stage of one stage
-    count: the controller and the selectors (chi_0..chi_{M-1}), each a
-    single net."""
-
-    net_F: ReluNetwork
-    net_chi: ReluNetwork
-
-
 @lru_cache(maxsize=None)
 def _embed_net() -> ReluNetwork:
     return lower_curve_1d(embed_curve())
@@ -90,13 +80,12 @@ def _controller_net(M: int) -> ReluNetwork:
 
 
 @lru_cache(maxsize=None)
-def loop_assets(M: int, n: int) -> LoopAssets:
-    """Each field is lowered once per value of what it depends on: the
-    controller on M and the selectors on (M, n); the embedding
-    (``_embed_net``) on nothing, and the scalar field H once per hat
-    (``_scalar_head``)."""
-    return LoopAssets(_controller_net(M),
-                      lower_planar_field(selector_field(LoopConfig(M, n))))
+def loop_assets(M: int, n: int) -> ReluNetwork:
+    """The lowered selectors chi_0..chi_{M-1} of stage n.  Each loop field is
+    lowered once per value of what it depends on: the selectors on (M, n),
+    the controller on M (``_controller_net``), the embedding on nothing
+    (``_embed_net``) and the scalar field H once per hat (``_scalar_head``)."""
+    return lower_planar_field(selector_field(LoopConfig(M, n)))
 
 
 def _beside_E(net: ReluNetwork) -> ReluNetwork:
@@ -132,23 +121,17 @@ def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
     return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * lam ** n
 
 
-def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetwork:
-    """One selector-gated transition update on state (z, Phi).
-
-    Phi holds p*L branch vectors of length p*L each (branch-major); the
-    gate of digit q gates all of them with chi_q before T_q' is applied.
-    """
-    M, pL = op.M, op.p * op.L
+@lru_cache(maxsize=None)
+def _gate_half(M: int, p: int, L: int, mask: tuple, a: float) -> ReluNetwork:
+    """The controller step beside a one-layer carry of (c, Phi) feeding the
+    gates, Phi' = sum_q T_q' Pi_a(lambda_q, Phi), on (z, c, Phi): the part
+    of a gated stage that does not depend on n, built once per operator
+    (M, p, L and its ``mask`` as (j, bytes of A_j) pairs) and gate bound a.
+    lambda_q = 1 - ReLU(1 - 2 c_q) is exactly 1 for c_q >= 1/2, so open
+    gates are exact."""
+    op = RefinementOp(M, p, L, {j: np.frombuffer(A).reshape(p, p) for j, A in mask})
+    pL = p * L
     B = pL * pL
-    dchi = assets.net_chi.depth
-    # substage 1: (z, Phi) -> (z, c_0..c_{M-1}, Phi)
-    sub1 = stack_nets(
-        [passthrough(2, "nonneg", dchi), assets.net_chi,
-         passthrough(B, "general", dchi)],
-        [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
-    # substage 2: the controller step beside a one-layer carry of (c, Phi)
-    # feeding the gates, Phi' = sum_q T_q' Pi_a(lambda_q, Phi); lambda_q =
-    # 1 - ReLU(1 - 2 c_q) is exactly 1 for c_q >= 1/2, so open gates are exact
     I = np.eye(M)
     sat = ReluNetwork(M, [Layer(-2 * I, np.ones(M), "relu"),
                           Layer(-I, np.ones(M), "linear")])
@@ -157,26 +140,33 @@ def _recursion_stage(op: RefinementOp, assets: LoopAssets, a: float) -> ReluNetw
     gates = stack_nets([product_gadget(a, B)] * M,
                        [[q, *range(M, M + B)] for q in range(M)], M + B)
     T = np.hstack([np.kron(np.eye(pL), block_transition(op, q).T) for q in range(M)])
-    sub2 = stack_nets([assets.net_F, serial(carry, post_affine(gates, T, np.zeros(B)))],
+    return stack_nets([_controller_net(M), serial(carry, post_affine(gates, T, np.zeros(B)))],
                       [[0, 1], list(range(2, 2 + M + B))], 2 + M + B)
-    return serial(sub1, sub2)
 
 
 def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
     """x in [0, 1] -> all branch vectors Phi^{(l)}_n (p*L * p*L channels).
 
     The first stage reads (z_0, Phi_0) = (E(x), s e_l) linearly from the
-    scalar factor net's output (s, E(x)).
+    scalar factor net's output (s, E(x)).  Each gated stage updates (z, Phi)
+    by the selectors chi_q(z) of stage n beside the carries of z and Phi,
+    then the gate half.  Phi holds p*L branch vectors of length p*L each
+    (branch-major); the gate of digit q gates all of them with chi_q before
+    T_q' is applied.
     """
-    assets = loop_assets(op.M, n)
     pL = op.p * op.L
     B = pL * pL
-    a = gadget_bound(op, h, n)
     W = np.zeros((2 + B, 3))
     W[:2, 1:] = np.eye(2)
     W[2 + np.arange(pL) * (pL + 1), 0] = 1.0
     start = post_affine(scalar_factor_net(h, op.M, n), W, np.zeros(2 + B))
-    core = serial(start, *[_recursion_stage(op, assets, a)] * n)
+    chi = loop_assets(op.M, n)
+    head = stack_nets([passthrough(2, "nonneg", chi.depth), chi,
+                       passthrough(B, "general", chi.depth)],
+                      [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
+    mask = tuple((j, A.tobytes()) for j, A in sorted(op.mask.items()))
+    stage = serial(head, _gate_half(op.M, op.p, op.L, mask, gadget_bound(op, h, n)))
+    core = serial(start, *[stage] * n)
     Wsel = np.hstack([np.zeros((B, 2)), np.eye(B)])
     return post_affine(core, Wsel, np.zeros(B))
 

@@ -9,6 +9,7 @@ away from a small transition set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +18,7 @@ import numpy as np
 
 from .cpwl import (RHO, CpwlCurve, ScalarCpwl, SpecialHat, cpwl_combine,
                    merge_grids)
-from .planar import PlanarCpwlField, fan_field
+from .planar import PlanarCpwlField, fan_core
 
 
 DELTA_BAR = 0.5  # selector transition half-width in units of RHO * M^-(n+1)
@@ -81,30 +82,40 @@ def _knots_cpwl(knots) -> ScalarCpwl:
 
 
 def _knots_at(knots, ts) -> list:
-    """Exact values at the sorted ts in [0, 1] of the CPwL function through
-    the rational ``knots`` [(0, v_0), .., (1, v_k)]."""
-    out = []
-    i = 0
+    """Values at the sorted integers ts of the CPwL function through the
+    integer ``knots`` [(0, v_0), .., (Q, v_k)]: a knot value at a knot and
+    on a flat piece, else the exact interpolated ``Fraction``."""
+    out, i = [], 0
     for t in ts:
         while t > knots[i + 1][0]:
             i += 1
         (t0, v0), (t1, v1) = knots[i], knots[i + 1]
-        out.append(v0 if v0 == v1 else v0 + (t - t0) * (v1 - v0) / (t1 - t0))
+        out.append(v1 if t == t1 else v0 if t == t0 or v0 == v1 else
+                   Fraction(v0 * (t1 - t) + v1 * (t - t0), t1 - t0))
     return out
 
 
-def _loop_field(knot_lists) -> PlanarCpwlField:
-    """One fan field whose outputs are the CPwL functions through the
-    rational ``knot_lists``, each [(0, v_0), .., (1, v_k)].  Its boundary
+def _loop_field(Q: int, knot_lists) -> PlanarCpwlField:
+    """One fan field whose outputs are the CPwL functions through
+    ``knot_lists``, each [(0, v_0), .., (Q, v_k)] of integer knots (i, v)
+    at t = i / Q with value v / Q, for Q a multiple of 3.  Its boundary
     vertices are E(t) for t in the corners {0, 1/3, 2/3} and every knot in
     [0, 1), where each output is exact.  Loop fields are only read on the
     loop, so the center value is free, and 0 makes every readout weight a
-    loop value."""
-    ts = sorted({Fraction(j, 3) for j in range(3)}
-                | {t for knots in knot_lists for t, _ in knots if t < 1})
-    values = np.array([_knots_at(knots, ts) for knots in knot_lists], dtype=object)
-    return fan_field((Fraction(2, 3), Fraction(1, 3)), [0] * len(knot_lists),
-                     [_embed_exact(t) for t in ts], values.T)
+    loop value.  The data are integers over Q times the denominators of
+    the values interpolated off a knot, 1 for the controller and selectors."""
+    ts = sorted({0, Q // 3, 2 * Q // 3}.union(
+        *({i for i, _ in knots if i < Q} for knots in knot_lists)))
+    values = [_knots_at(knots, ts) for knots in knot_lists]
+    m = math.lcm(*(v.denominator for vs in values for v in vs))
+
+    def E(i):  # Q E(i / Q)
+        s = 3 * i
+        return (s, s) if s <= Q else (Q, 2 * Q - s) if s <= 2 * Q else (3 * Q - s, 0)
+
+    rows = [[2 * Q // 3, Q // 3, *[0] * len(values)],
+            *([*E(t), *vs] for t, *vs in zip(ts, *values))]
+    return fan_core(Q * m, [[int(m * v) for v in row] for row in rows])
 
 
 @lru_cache(maxsize=None)
@@ -119,9 +130,10 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     orbit that ``residual_iterate`` rounds.  In float64 (the compiled
     networks) its drift grows about M^n eps.
     """
-    ts = [Fraction(j, 3 * M) for j in range(3 * M + 1)]
-    images = [_embed_exact(M * t % 1) for t in ts]
-    return _loop_field([list(zip(ts, coord)) for coord in zip(*images)])
+    # at t = j / (3M), E(M t mod 1) is the corner E(j / 3 mod 1)
+    corners = [(0, 0), (3 * M, 3 * M), (3 * M, 0)]
+    images = [corners[j % 3] for j in range(3 * M + 1)]
+    return _loop_field(3 * M, [list(enumerate(coord)) for coord in zip(*images)])
 
 
 def controller_orbit(x: float, n: int, F) -> np.ndarray:
@@ -154,8 +166,10 @@ def scalar_field(h: SpecialHat) -> PlanarCpwlField:
     on the corners and h's breakpoints, so it depends on the hat alone.
     """
     b = h.base
-    knots = [(Fraction(t), Fraction(v)) for t, v in zip(b.ts, b.vs)]
-    return _loop_field([[(0, 0), *knots, (1, 0)]])
+    ratios = [x.as_integer_ratio() for x in [*b.ts.tolist(), *b.vs.tolist()]]
+    Q = math.lcm(3, *(q for _, q in ratios))
+    nums = [p * (Q // q) for p, q in ratios]
+    return _loop_field(Q, [[(0, 0), *zip(nums[:b.ts.size], nums[b.ts.size:]), (Q, 0)]])
 
 
 def min_readout_scalar(h: ScalarCpwl, epsilon: float) -> ScalarCpwl:
@@ -212,5 +226,14 @@ def selector_scalars(cfg: LoopConfig) -> list:
 
 def selector_field(cfg: LoopConfig) -> PlanarCpwlField:
     """chi on the triangle with chi_q(E(t)) = theta_q(t), q = 0..M-1: one
-    fan on the corners and the selector knots, with M outputs."""
-    return _loop_field(_selector_knots(cfg))
+    fan on the corners and the knots of ``_selector_knots``, with M outputs,
+    solved over Q = 3 M^(n+1) times the denominators of DELTA_BAR and RHO
+    (24 M^(n+1)), where every knot is an integer."""
+    M = cfg.M
+    (a, b), (c, e) = DELTA_BAR.as_integer_ratio(), RHO.as_integer_ratio()
+    Q = 3 * b * e * M ** (cfg.n + 1)
+    d, w = 3 * a * c, Q // M          # delta_n and a cell's width, over Q
+    lists = [[(0, 0), *[(q * w, 0)] * (q > 0), (q * w + d, Q), ((q + 1) * w, Q),
+              ((q + 1) * w + d, 0), (Q, 0)] for q in range(M - 1)]
+    lists.append([(0, Q), (d, 0), ((M - 1) * w, 0), ((M - 1) * w + d, Q), (Q, Q)])
+    return _loop_field(Q, lists)

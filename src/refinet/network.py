@@ -32,6 +32,9 @@ _EVAL_POINTS = 4096
 # OpenBLAS's gemm runs the points in panels of this many columns, and a
 # partial panel through a tail kernel that sums in another order
 _PANEL = 8
+# OpenBLAS sums a product's columns in one order whatever the call size only
+# up to this many, so a wider block runs as chunks of at most this many
+_CHUNK = 255
 # neighbouring diagonal blocks of a layer merge while the merged block holds at
 # most this many times the entries of the finest blocks inside it: each block
 # costs the evaluator one matmul call, each entry one multiply-add per point
@@ -137,9 +140,10 @@ class ReluNetwork:
         the memory beside the output is fixed for any N and stage, and a
         narrow net's tile stays in L2 cache.  Every tile runs as whole
         panels of ``_PANEL`` columns (``_panels``), padded with zero points,
-        so BLAS sums each point in one order whatever call it comes in, bar
-        blocks of several hundred columns, which OpenBLAS's small-matrix
-        path sums in another order in small calls.
+        so BLAS sums each point in one order whatever call it comes in.  A
+        block wider than ``_CHUNK`` columns, which OpenBLAS's small-matrix
+        path would sum in another order in small calls, runs as column
+        chunks added in order through one scratch buffer per call.
         Layers write alternately into two buffers allocated once per call:
         allocating each activation afresh lets the allocator hand pages back
         and fault them in again per layer.
@@ -163,6 +167,7 @@ class ReluNetwork:
         n = _panels(min(tile, x.shape[0]))
         out = np.empty((x.shape[0], self.output_dim))
         bufs = np.empty((2, widest * n))
+        scratch = np.empty(plan.chunk_rows * n)
         inputs = np.empty(plan.rows * n)
         for s in range(0, x.shape[0], tile):
             xs = x[s:s + tile]
@@ -174,8 +179,11 @@ class ReluNetwork:
             y[plan.x_rows, len(xs):] = 0.0
             for i, (rows, mats, ones, relu) in enumerate(plan.steps):
                 buf = bufs[i % 2, :rows * m].reshape(rows, m)
-                for rs, cs, W in mats:
-                    np.matmul(W, y[cs], out=buf[rs])
+                for rs, cs, W, add in mats:
+                    part = scratch[:len(W) * m].reshape(len(W), m) if add else buf[rs]
+                    np.matmul(W, y[cs], out=part)
+                    if add:
+                        buf[rs] += part
                 if ones.size:
                     buf[ones] = 1.0
                 if relu:
@@ -288,14 +296,17 @@ def _dense(W) -> np.ndarray:
 class _Plan(NamedTuple):
     """A float64 evaluation plan.  The input tile has ``rows`` rows: the
     point coordinates at ``x_rows`` and ones rows at ``ones``.  Each layer
-    is a step (rows, [(row slice, column slice, W)], ones rows, relu), and
-    ``entries`` counts the weights that the blocks multiply per point, their
-    bias columns and zero rows aside."""
+    is a step (rows, [(row slice, column slice, W, add)], ones rows, relu),
+    where ``add`` marks a column chunk that adds to the rows its block's
+    earlier chunks wrote; ``chunk_rows`` is the most rows of such a chunk,
+    and ``entries`` counts the weights that the blocks multiply per point,
+    their bias columns and zero rows aside."""
     rows: int
     x_rows: np.ndarray
     ones: np.ndarray
     steps: tuple
     entries: int
+    chunk_rows: int
 
 
 def _build_plan(input_dim: int, layers) -> _Plan:
@@ -306,7 +317,9 @@ def _build_plan(input_dim: int, layers) -> _Plan:
     Each activation therefore holds a ones row right after the column range
     of every such block of the next layer, all set by one fill per layer,
     and a block whose rows straddle a ones row holds a zero row there.  A
-    block with no weights multiplies its bias by any ones row.
+    block with no weights multiplies its bias by any ones row.  A block of
+    more than ``_CHUNK`` columns is split into chunks of at most that many,
+    the bias column in the last.
     """
     steps, entries, after = [], 0, []
     for l, blocks in zip(layers[::-1], _diagonal_blocks(layers)[::-1]):
@@ -333,13 +346,16 @@ def _build_plan(input_dim: int, layers) -> _Plan:
                 M = np.zeros((rs.stop - rs.start, W.shape[1]))
                 M[np.array(out[r0:r1]) - rs.start] = W
                 W = M
-            mats.append((rs, cs, W))
+            for k in range(0, W.shape[1], _CHUNK):
+                mats.append((rs, slice(cs.start + k, min(cs.stop, cs.start + k + _CHUNK)),
+                             np.ascontiguousarray(W[:, k:k + _CHUNK]), k > 0))
         steps.append((n_out + len(after), tuple(mats), np.array(out_ones, dtype=int),
                       l.activation == "relu"))
         after = need
     pos, ones = _layout(input_dim, after)
     return _Plan(input_dim + len(after), np.array(pos, dtype=int), np.array(ones, dtype=int),
-                 tuple(steps[::-1]), entries)
+                 tuple(steps[::-1]), entries,
+                 max((W.shape[0] for s in steps for _, _, W, add in s[1] if add), default=0))
 
 
 def _layout(n: int, after):
@@ -376,14 +392,14 @@ def eval_exact(net: ReluNetwork, x) -> np.ndarray:
     y = np.zeros((plan.rows, x0.shape[1]), dtype=object)
     y[plan.x_rows], y[plan.ones] = x0, 1 << s
     for rows, mats, ones, relu in plan.steps:
-        nz = [np.nonzero(W) for _, _, W in mats]
-        vals = [W[ij] for (_, _, W), ij in zip(mats, nz)]
+        nz = [np.nonzero(W) for _, _, W, _ in mats]
+        vals = [W[ij] for (_, _, W, _), ij in zip(mats, nz)]
         nums, a = _dyadic(np.concatenate([np.zeros(0), *vals]))
         nums = np.split(nums, np.cumsum([v.size for v in vals]))
         acc = np.zeros((rows, y.shape[1]), dtype=object)
-        for (rs, cs, _), (i, j), w in zip(mats, nz, nums):
+        for (rs, cs, *_), (i, j), w in zip(mats, nz, nums):
             starts = np.flatnonzero(np.diff(i, prepend=-1))
-            acc[rs][i[starts]] = np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
+            acc[rs][i[starts]] += np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
         acc[ones] = 1 << (a + s)
         y, s = (np.maximum(acc, 0) if relu else acc), a + s
     out = y.T.reshape(x.shape[:-1] + (net.output_dim,))
@@ -522,10 +538,10 @@ def net_stats(net: ReluNetwork) -> dict:
     """Sizes of ``net``; ``nnz`` counts its stored nonzero weights, and the
     rest read its float64 evaluation plan on the live rows: ``eval_entries``
     the weights it multiplies per point (bias columns and zero rows aside),
-    ``eval_calls`` the numpy calls a tile makes (matmuls, fills of the ones
-    rows and ReLUs), and ``eval_buffer_bytes`` the most that an evaluation
-    call holds in activation and input buffers, ones rows included, beside
-    its output."""
+    ``eval_calls`` the numpy calls a tile makes (matmuls, adds of column
+    chunks, fills of the ones rows and ReLUs), and ``eval_buffer_bytes`` the
+    most that an evaluation call holds in activation, input and chunk
+    buffers, ones rows included, beside its output."""
     plan = net._plan()
     widest = max(step[0] for step in plan.steps)
     return {
@@ -536,9 +552,10 @@ def net_stats(net: ReluNetwork) -> dict:
         "nnz": sum(l.weights.nnz if _issparse(l.weights) else np.count_nonzero(l.weights)
                    for l in net.layers),
         "eval_entries": plan.entries,
-        "eval_calls": sum(len(mats) + (ones.size > 0) + relu
+        "eval_calls": sum(sum(1 + add for *_, add in mats) + (ones.size > 0) + relu
                           for _, mats, ones, relu in plan.steps),
-        "eval_buffer_bytes": (2 * widest + plan.rows) * _eval_tile(widest) * 8,
+        "eval_buffer_bytes": (2 * widest + plan.rows + plan.chunk_rows)
+                             * _eval_tile(widest) * 8,
     }
 
 

@@ -73,8 +73,9 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
     ints or ``fractions.Fraction``).  Boundary-edge midpoints, with their
     interpolated values, are inserted until every wedge is below pi, which
     leaves the field unchanged.  The hat planes and the readout weights are
-    solved exactly in integers over one common denominator D of the data,
-    and each rounded once to float64 as a correctly rounded int / int.
+    solved exactly in integers over one common denominator D of the data
+    (``fan_core``), and each rounded once to float64 as a correctly rounded
+    int / int.
     """
     bvals = np.asarray(boundary_values, dtype=object)
     if bvals.ndim == 1:
@@ -83,7 +84,14 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
     rows += [[*p, *v] for p, v in zip(boundary_pts, bvals)]
     rows = [[v.as_integer_ratio() for v in row] for row in rows]
     D = math.lcm(*(q for row in rows for _, q in row))
-    (cx, cy, *cv), *ring = [[p * (D // q) for p, q in row] for row in rows]
+    return fan_core(D, [[p * (D // q) for p, q in row] for row in rows])
+
+
+def fan_core(D: int, rows) -> PlanarCpwlField:
+    """``fan_field``'s integer core: ``rows`` [x, y, values...] of the center
+    and then of the boundary vertices, every datum an integer numerator over
+    D > 0."""
+    (cx, cy, *cv), *ring = rows
     # rows D * (x - cx, y - cy, values...) of the boundary vertices
     ring = [[x - cx, y - cy, *v] for x, y, *v in ring]
 

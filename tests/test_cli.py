@@ -113,7 +113,7 @@ def test_verify_folds_one_row_bias(capsys):
     ci, _, op = _build(argparse.Namespace(spec=None, example="morton3", mode="anchored",
                                           stage=1))
     assert any(W.shape[0] == 1 and W[0, -1] == 0.25
-               for _, mats, _, _ in ci.net._plan().steps for *_, W in mats)
+               for _, mats, _, _ in ci.net._plan().steps for _, _, W, _ in mats)
     _check_exact(ci.net, _verify_grid(op.M, 1, op.L, 1000)[:, None])
 
 

@@ -4,7 +4,7 @@ import pytest
 from refinet.cpwl import CpwlCurve, ScalarCpwl, SpecialHat, SupportError, hat
 from unittest import mock
 
-from refinet import compiler, gallery
+from refinet import compiler, gallery, loop
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
@@ -56,16 +56,15 @@ def test_scalar_factor_net_tracks_residual():
         assert np.max(np.abs(out[:, 1:] - embed(xs))) < 1e-12
 
 
-def _clear_compiler_caches():
-    for f in vars(compiler).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
+def _clear_program_caches():
+    for m in (compiler, loop):
+        for f in vars(m).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
 
 
-def _same_net(a, b):
-    return len(a.layers) == len(b.layers) and all(
-        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
-        for la, lb in zip(a.layers, b.layers))
+def _net_bytes(net):
+    return [_layer_bytes(l) for l in net.layers]
 
 
 def test_loop_assets_lower_shared_fields_once():
@@ -78,20 +77,38 @@ def test_loop_assets_lower_shared_fields_once():
             return f(*args)
         return wrapped
 
-    _clear_compiler_caches()
+    op, gam = scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
+    _clear_program_caches()
     try:
         with mock.patch.multiple(
                 compiler, build_controller_field=counting("F", build_controller_field),
                 selector_field=counting("chi", selector_field)):
+            for n in range(1, 17):
+                compile_homogeneous(op, gam, n)
             sweep = [loop_assets(M, n) for n in range(1, 17)]
     finally:
-        _clear_compiler_caches()
+        _clear_program_caches()
     assert calls == {"F": 1, "chi": 16}
-    # the shared fields are the ones a direct lowering gives
-    for n, a in enumerate(sweep, start=1):
-        assert _same_net(a.net_F, lower_planar_field(build_controller_field(M)))
-        chi = selector_field(LoopConfig(M, n))
-        assert _same_net(a.net_chi, lower_planar_field(chi))
+    # the shared selectors are the ones a direct lowering gives
+    for n, chi in enumerate(sweep, start=1):
+        want = lower_planar_field(selector_field(LoopConfig(M, n)))
+        assert _net_bytes(chi) == _net_bytes(want)
+
+
+def test_gate_half_built_once_per_sweep():
+    # every stage of the scalar-deep operator shares one gate half (M, p*L,
+    # T and a do not depend on n, since lambda = 1), and a sweep's nets
+    # equal the ones compiled from cold caches: nothing leaks across n
+    op, gam = scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
+    _clear_program_caches()
+    try:
+        sweep = [compile_homogeneous(op, gam, n).net for n in range(1, 7)]
+        assert compiler._gate_half.cache_info().misses == 1
+        for n, net in enumerate(sweep, start=1):
+            _clear_program_caches()
+            assert _net_bytes(net) == _net_bytes(compile_homogeneous(op, gam, n).net), n
+    finally:
+        _clear_program_caches()
 
 
 def test_atomic_unit_interval_net():
@@ -148,7 +165,7 @@ def test_lone_cell_is_not_restacked():
         (cell,), _, _ = compiler._job_cells(op, gam, n)
         p = op.p
         want = post_affine(stack_nets([cell], [[0]], 1), np.eye(p), np.zeros(p))
-        assert [_layer_bytes(l) for l in net.layers] == [_layer_bytes(l) for l in want.layers]
+        assert _net_bytes(net) == _net_bytes(want)
 
 
 def test_compile_requires_compact_support():

@@ -4,7 +4,10 @@ the tests uses every name it imports, no function of the package imports
 never reads, and no module of the package reads the environment: the
 library's behaviour is set by its arguments alone.  No module of the package
 names a long-double type: networks evaluate in float64, and exactly through
-``network.eval_exact``."""
+``network.eval_exact``.  Every cache of the package is a ``functools`` cache
+on a module-level function, which the benchmark's ``clear_caches`` finds
+among the module's attributes and empties, so that each timed compile
+starts cold."""
 import ast
 from pathlib import Path
 
@@ -15,6 +18,8 @@ PACKAGE = sorted((ROOT / "src" / "refinet").glob("*.py"))
 MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+CACHES = {"cache", "lru_cache", "cached_property"}
+STORES = {"__setitem__", "add", "setdefault", "update"}
 LONG_DOUBLE = {"longdouble", "longfloat", "float96", "float128", "clongdouble",
                "complex192", "complex256"}
 
@@ -147,3 +152,47 @@ def test_long_double_mentions_found():
                          ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_evaluates_in_float64_only(path):
     assert long_double_mentions(path.read_text()) == []
+
+
+def misplaced_caches(source: str) -> list:
+    """Lines that cache other than through a ``functools`` decorator on a
+    module-level function: a cache on a nested function or a method, a
+    cache made by a call, a ``global`` statement, or a store into a
+    module-level dict or set from inside a function."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+               for d in f.decorator_list for n in ast.walk(d)}
+    lines = [n.lineno for n in ast.walk(tree)
+             if (getattr(n, "id", None) in CACHES or getattr(n, "attr", None) in CACHES)
+             and id(n) not in allowed]
+    tables = {t.id for a in tree.body if isinstance(a, ast.Assign)
+              and isinstance(a.value, (ast.Dict, ast.Set)) for t in a.targets
+              if isinstance(t, ast.Name)}
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(f):
+            target = (n.value if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                      else n.func.value if isinstance(n, ast.Call)
+                      and getattr(n.func, "attr", None) in STORES else None)
+            if isinstance(n, ast.Global) or getattr(target, "id", None) in tables:
+                lines.append(n.lineno)
+    return sorted(set(lines))
+
+
+def test_misplaced_caches_found():
+    src = ("import functools\nfrom functools import lru_cache, cache\n"
+           "_MEMO = {}\nNAMES = {'a': 1}\n\n"
+           "@lru_cache(maxsize=None)\ndef f(x):\n    return NAMES[x]\n\n"
+           "@functools.cache\ndef g(x):\n    _MEMO[x] = x\n"
+           "    @cache\n    def h(y):\n        return y\n    return h\n\n"
+           "class K:\n    @functools.cached_property\n    def p(self):\n        return 1\n\n"
+           "def s(x):\n    global NAMES\n    _MEMO.setdefault(x, x)\n"
+           "    return lru_cache()(s) if NAMES.get(x) else {}.update(a=x)\n")
+    assert misplaced_caches(src) == [12, 13, 19, 24, 25, 26]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_caches_are_module_level_functools(path):
+    assert misplaced_caches(path.read_text()) == []

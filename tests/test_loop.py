@@ -15,6 +15,7 @@ from refinet.network import eval_exact
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
 from test_network import unread_units
+from test_planar import assert_exact_fan
 
 
 def test_embed_landmarks():
@@ -85,14 +86,9 @@ def test_lowered_controller_exact_for_every_m():
             assert z.tolist() == [list(_embed_exact(Fraction(o[j]))) for o in orbits]
 
 
-def test_loop_lowerings_emit_no_unread_unit():
-    # a hat is emitted only where the readout row is nonzero: F reads 0 at
-    # the M vertices E(k/M) = a0, as at the center, so 2M of its 3M stay
-    for M in range(2, 17):
-        net = lower_planar_field(build_controller_field(M))
-        assert unread_units(net) == 0 and net.layers[1].weights.shape[0] == 2 * M
-    for M, n in [(2, 16), (4, 3), (7, 6)]:
-        assert unread_units(lower_planar_field(selector_field(LoopConfig(M, n)))) == 0
+@pytest.fixture(scope="module")
+def gallery_hats():
+    """Every special hat that the gallery's compiles read, at stage 2."""
     hats = {}
 
     def record(curve):
@@ -105,12 +101,71 @@ def test_loop_lowerings_emit_no_unread_unit():
             kind, op, src = cli._source(argparse.Namespace(spec=None, example=name))
             for compile_, _ in cli.MODES[kind].values():
                 compile_(op, src, 2)
-    assert len(hats) >= 6
-    for h in hats.values():
+    return list(hats.values())
+
+
+def test_loop_lowerings_emit_no_unread_unit(gallery_hats):
+    # a hat is emitted only where the readout row is nonzero: F reads 0 at
+    # the M vertices E(k/M) = a0, as at the center, so 2M of its 3M stay
+    for M in range(2, 17):
+        net = lower_planar_field(build_controller_field(M))
+        assert unread_units(net) == 0 and net.layers[1].weights.shape[0] == 2 * M
+    for M, n in [(2, 16), (4, 3), (7, 6)]:
+        assert unread_units(lower_planar_field(selector_field(LoopConfig(M, n)))) == 0
+    assert len(gallery_hats) >= 6
+    for h in gallery_hats:
         field = scalar_field(h)
         net = lower_planar_field(field)
         assert unread_units(net) == 0
         assert net.layers[1].weights.shape[0] == np.count_nonzero(field.values[1:])
+
+
+def _exact_at(knots, t):
+    """The CPwL function through the ``Fraction`` knots at t, exactly."""
+    for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+        if t0 <= t <= t1:
+            return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+
+
+def _exact_loop_fan(knot_lists):
+    """(center, center values, boundary rows) of the loop field through the
+    ``Fraction`` knot lists, each [(0, v_0), .., (1, v_k)]: the center
+    (2/3, 1/3) reads 0, and the boundary is E(t), with every list's value,
+    for t in the corners and every knot in [0, 1)."""
+    ts = sorted({Fraction(j, 3) for j in range(3)}
+                | {t for knots in knot_lists for t, _ in knots if t < 1})
+    rows = [[*_embed_exact(t), *(_exact_at(knots, t) for knots in knot_lists)]
+            for t in ts]
+    return [Fraction(2, 3), Fraction(1, 3)], [Fraction(0)] * len(knot_lists), rows
+
+
+def test_controller_fields_are_exact():
+    # F(E(t)) = E(M t mod 1) on the grid t = j / (3M)
+    for M in range(2, 17):
+        ts = [Fraction(j, 3 * M) for j in range(3 * M + 1)]
+        images = [_embed_exact(M * t % 1) for t in ts]
+        knots = [list(zip(ts, coord)) for coord in zip(*images)]
+        assert_exact_fan(build_controller_field(M), *_exact_loop_fan(knots))
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 7, 16])
+def test_selector_fields_are_exact(M):
+    for n in [0, 1, 5, 20]:
+        cfg = LoopConfig(M, n)
+        assert_exact_fan(selector_field(cfg), *_exact_loop_fan(_selector_knots(cfg)))
+
+
+def _hat_knots(h):
+    """h's knots on [0, 1] as ``Fraction``s, from its float breakpoints."""
+    zero = Fraction(0)
+    return [(zero, zero), *((Fraction(t), Fraction(v)) for t, v in zip(h.base.ts, h.base.vs)),
+            (Fraction(1), zero)]
+
+
+def test_scalar_fields_are_exact(gallery_hats):
+    # random hats put the corners 1/3 and 2/3 inside a piece that is not flat
+    for h in [*gallery_hats, *_random_hats(np.random.default_rng(5))]:
+        assert_exact_fan(scalar_field(h), *_exact_loop_fan([_hat_knots(h)]))
 
 
 def test_readout_endpoints():
@@ -135,23 +190,19 @@ def test_min_readout_identity():
             assert np.max(np.abs(m(ts) - h(ts))) < 1e-12
 
 
-def _exact_interp(h, t):
-    """h(t) in exact arithmetic, from h's float breakpoints and values."""
-    knots = [(Fraction(a), Fraction(v)) for a, v in zip(h.base.ts, h.base.vs)]
-    for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
-        if t0 <= t <= t1:
-            return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
-    return Fraction(0)
-
-
-def test_scalar_field_reads_the_hat():
-    rng = np.random.default_rng(5)
+def _random_hats(rng):
     hats = [SpecialHat(hat(0.25, 0.5, 0.75))]
     for _ in range(6):
         k = int(rng.integers(3, 7))
         ts = np.sort(rng.uniform(RHO, 1 - RHO, k))
         vs = np.concatenate([[0.0], rng.uniform(0.1, 3.0, k - 2), [0.0]])
         hats.append(SpecialHat(ScalarCpwl(ts, vs)))
+    return hats
+
+
+def test_scalar_field_reads_the_hat():
+    rng = np.random.default_rng(5)
+    hats = _random_hats(rng)
     ts = rng.uniform(0, 1, 2000)
     for h in hats:
         field = scalar_field(h)
@@ -162,7 +213,7 @@ def test_scalar_field_reads_the_hat():
             v = np.array([float(c) for c in _embed_exact(t)])
             row = np.flatnonzero(np.all(field.vertices == v, axis=1))
             assert row.size == 1
-            assert field.values[row[0], 0] == float(_exact_interp(h, t))
+            assert field.values[row[0], 0] == float(_exact_at(_hat_knots(h), t))
         got = lower_planar_field(field)(embed(ts))[:, 0]
         assert np.max(np.abs(got - h(ts))) < 1e-12
 

@@ -229,10 +229,10 @@ def test_plan_splits_layers_into_diagonal_blocks():
         (rows, mats, ones, relu), _ = plan.steps
         # zero rows join the block above while it at most doubles; rows 5-6
         # have no weights and multiply their bias by a ones row
-        assert [(rs, cs) for rs, cs, _ in mats] == [(slice(0, 3), slice(0, 3)),
+        assert [(rs, cs) for rs, cs, *_ in mats] == [(slice(0, 3), slice(0, 3)),
                                                     (slice(3, 5), slice(4, 7)),
                                                     (slice(5, 7), slice(6, 7))]
-        assert [M.tolist() for *_, M in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
+        assert [M.tolist() for _, _, M, _ in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
                                                   [[4, 5, 0], [0, 0, 3]], [[0], [0]]]
         assert (rows, ones.tolist(), relu) == (7, [], True)
     assert net_stats(net)["eval_entries"] == 6 + 4 + 7
@@ -252,11 +252,11 @@ def test_plan_folds_one_row_biases():
     plan = net._plan()
     assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (6, [0, 1, 2, 4], [3, 5])
     (rows, mats, ones, _), (rows2, mats2, ones2, _) = plan.steps
-    assert [(rs, cs, M.tolist()) for rs, cs, M in mats] == [
+    assert [(rs, cs, M.tolist()) for rs, cs, M, _ in mats] == [
         (slice(0, 1), slice(0, 4), [[1.0, 2.0, 3.0, 0.5]]),
         (slice(2, 4), slice(4, 6), [[2.0, 1.0], [3.0, 2.0]])]
     assert (rows, ones.tolist()) == (5, [1, 4])
-    assert [(rs, cs, M.tolist()) for rs, cs, M in mats2] == [
+    assert [(rs, cs, M.tolist()) for rs, cs, M, _ in mats2] == [
         (slice(0, 2), slice(0, 2), [[1.0, 1.0], [2.0, 1.0]]),
         (slice(2, 3), slice(2, 5), [[3.0, 4.0, 1.0]])]
     assert (rows2, ones2.tolist()) == (3, [])
@@ -575,6 +575,24 @@ def _check_exact(net, x):
 def test_eval_exact_matches_fraction_reference(net_rng, N):
     net, rng = net_rng
     _check_exact(net, rng.normal(size=(N, net.input_dim)))
+
+
+def test_wide_blocks_run_as_column_chunks():
+    # a block wider than _CHUNK columns runs as chunks of at most that many,
+    # the bias column in the last, added in order by the float and exact paths
+    rng = np.random.default_rng(9)
+    K = 2 * network._CHUNK + 40
+    net = ReluNetwork(K, [Layer(rng.normal(size=(3, K)), rng.normal(size=3), "relu"),
+                          Layer(rng.normal(size=(1, 3)), [0.5], "linear")])
+    plan = net._plan()
+    (_, mats, _, _), _ = plan.steps
+    assert [(cs.stop - cs.start, add) for _, cs, _, add in mats] == [
+        (255, False), (255, True), (41, True)]
+    assert mats[-1][2][:, -1].tolist() == net.layers[0].bias.tolist()
+    assert plan.chunk_rows == 3
+    # 3 matmuls, 2 chunk adds, the ones fill and the ReLU; then 1 matmul
+    assert net_stats(net)["eval_calls"] == 7 + 1
+    _check_exact(net, rng.normal(size=(9, K)))
 
 
 def _plant_unread_units(net, rng):

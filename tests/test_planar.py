@@ -201,9 +201,15 @@ def test_fan_planes_exact_on_rational_data(data):
     def exact(v):
         return Fraction(*v.as_integer_ratio())
 
-    c = [exact(v) for v in center]
-    cv = [exact(v) for v in cval]
-    ring = _exact_ring(c, [[*map(exact, p), *map(exact, v)] for p, v in zip(pts, vals)])
+    assert_exact_fan(field, [exact(v) for v in center], [exact(v) for v in cval],
+                     [[*map(exact, p), *map(exact, v)] for p, v in zip(pts, vals)])
+
+
+def assert_exact_fan(field, c, cv, ring):
+    """``field``'s vertices, values, hat planes and readout weights are each
+    the correctly rounded exact one of the fan with center c, center values
+    cv and boundary rows ``ring`` [x, y, values...], all ``Fraction``s."""
+    ring = _exact_ring(c, ring)
     n = len(ring)
 
     def rounded(xs):
