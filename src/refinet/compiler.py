@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .cpwl import CpwlCurve, ScalarCpwl, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
                    scalar_field, selector_field)
-from .network import (Layer, ReluNetwork, affine_net, cut_tail,
+from .network import (Layer, ReluNetwork, affine_net, cut_tail, cut_zeros,
                       lower_curve_1d, net_stats, passthrough, post_affine,
                       serial, stack_nets)
 from .planar import lower_planar_field
@@ -115,10 +116,26 @@ def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
                   _scalar_head(tuple(h.base.ts), tuple(h.base.vs)))
 
 
+def _op_key(op: RefinementOp) -> tuple:
+    """The operator by content, as the caches key it: (M, p, L, mask), the
+    mask as (j, bytes of A_j) pairs."""
+    return op.M, op.p, op.L, tuple((j, A.tobytes()) for j, A in sorted(op.mask.items()))
+
+
+def _op_from_key(M: int, p: int, L: int, mask: tuple) -> RefinementOp:
+    return RefinementOp(M, p, L, {j: np.frombuffer(A).reshape(p, p) for j, A in mask})
+
+
+@lru_cache(maxsize=None)
+def _growth(M: int, p: int, L: int, mask: tuple) -> float:
+    """max(1, transition_norm) of the operator (M, p, L, mask), computed
+    once per operator."""
+    return max(1.0, transition_norm(_op_from_key(M, p, L, mask)))
+
+
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
     """A bound a on |Phi_j| for j < n, as the gates Pi_a need."""
-    lam = max(1.0, transition_norm(op))
-    return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * lam ** n
+    return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * _growth(*_op_key(op)) ** n
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +143,9 @@ def _gate_half(M: int, p: int, L: int, mask: tuple, a: float) -> ReluNetwork:
     """The controller step beside a one-layer carry of (c, Phi) feeding the
     gates, Phi' = sum_q T_q' Pi_a(lambda_q, Phi), on (z, c, Phi): the part
     of a gated stage that does not depend on n, built once per operator
-    (M, p, L and its ``mask`` as (j, bytes of A_j) pairs) and gate bound a.
-    lambda_q = 1 - ReLU(1 - 2 c_q) is exactly 1 for c_q >= 1/2, so open
-    gates are exact."""
-    op = RefinementOp(M, p, L, {j: np.frombuffer(A).reshape(p, p) for j, A in mask})
+    (``_op_key``) and gate bound a.  lambda_q = 1 - ReLU(1 - 2 c_q) is
+    exactly 1 for c_q >= 1/2, so open gates are exact."""
+    op = _op_from_key(M, p, L, mask)
     pL = p * L
     B = pL * pL
     I = np.eye(M)
@@ -164,8 +180,7 @@ def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
     head = stack_nets([passthrough(2, "nonneg", chi.depth), chi,
                        passthrough(B, "general", chi.depth)],
                       [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
-    mask = tuple((j, A.tobytes()) for j, A in sorted(op.mask.items()))
-    stage = serial(head, _gate_half(op.M, op.p, op.L, mask, gadget_bound(op, h, n)))
+    stage = serial(head, _gate_half(*_op_key(op), gadget_bound(op, h, n)))
     core = serial(start, *[stage] * n)
     Wsel = np.hstack([np.zeros((B, 2)), np.eye(B)])
     return post_affine(core, Wsel, np.zeros(B))
@@ -183,12 +198,22 @@ def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
     return post_affine(core, W, np.zeros(pL))
 
 
+@lru_cache(maxsize=None)
+def _atomic_terms(L: int, comps: tuple) -> tuple:
+    """``decompose_atomic`` of the curve of support width L whose components
+    are ``comps`` as (bytes of ts, bytes of vs) pairs: run once per curve,
+    which every stage of a sweep and every job of a forcing repeats."""
+    return tuple(decompose_atomic(CpwlCurve(
+        tuple(ScalarCpwl(np.frombuffer(ts), np.frombuffer(vs)) for ts, vs in comps), L)))
+
+
 def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
     """(cells, terms, groups): nets t -> R^p whose sum is V^n(curve).  At
     power 0 the cell is the curve's own lowering; a zero curve has none."""
     if n == 0:
         return ([lower_curve_1d(curve)] if curve.max_abs() > 0 else []), 0, 0
-    terms = decompose_atomic(curve)
+    terms = _atomic_terms(curve.L, tuple((c.ts.tobytes(), c.vs.tobytes())
+                                         for c in curve.components))
     p, L, pL = op.p, op.L, op.p * op.L
     groups = {}
     for t in terms:
@@ -198,13 +223,15 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
     # Cell k's net runs on t - k unclamped: E's lowering is constant off
     # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
     # 0 outside its cell.  The core depends on the hat alone, so every
-    # shift and cell of a hat shares one, cut once per set of branch
+    # shift and cell of a hat shares one, cut once to the units that can be
+    # nonzero (Phi_0 has only pL nonzero channels, and h >= 0 with
+    # nonnegative transitions keeps Phi >= 0), then once per set of branch
     # channels that cells read: no unit stays behind the other channels,
     # nor behind z, which no stage reads after the last digit.
     cores, cuts, cells = {}, {}, []
     for (shift, hat_key), ts in groups.items():
         if hat_key not in cores:
-            cores[hat_key] = atomic_core_net(op, ts[0].hat, n)
+            cores[hat_key] = cut_zeros(atomic_core_net(op, ts[0].hat, n))
         for k in range(L):
             Wk = np.zeros((p, pL * pL))
             for t in ts:
@@ -244,7 +271,10 @@ def compile_jobs(op: RefinementOp, jobs) -> tuple:
         # a lone cell with no carries reads the whole input: no copy to stack
         stage = nets[0] if len(nets) == 1 else stack_nets(nets, ins, 1 + p * acc_in)
         stages.append(post_affine(stage, W, np.zeros(t_out + p)))
-    return serial(*stages), info
+    # each stage is cut already: a seam can zero units from the first layer
+    # of the next stage on, such as the negative half of a running sum >= 0
+    seams = list(accumulate(len(s.layers) - 1 for s in stages[:-1]))
+    return cut_zeros(serial(*stages), seams), info
 
 
 def compile_homogeneous(op: RefinementOp, curve: CpwlCurve,

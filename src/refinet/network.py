@@ -6,7 +6,8 @@ layers, so pre/post composition and serial wiring never add depth.
 The constructor checks layers from outside (callers, JSON); composition
 reuses the checked layers of its nets and folds only at the seams.
 Layers that stack_nets builds wide, and CSR layers read from JSON, store no
-zeros.
+zeros.  Evaluation runs only the units that can be nonzero for some input
+(``_nonzero_layers``) and that some output reads (``_live_layers``).
 """
 from __future__ import annotations
 
@@ -150,10 +151,10 @@ class ReluNetwork:
 
         Each layer runs as the steps of the evaluation plan, built on the
         first call and cached (``_plan``) on the live rows only
-        (``_live_layers``): one matmul per contiguous diagonal block of W,
-        each block with a bias multiplying [W | b] by its input rows and a
-        ones row, one fill of the ones rows that the next layer reads, and
-        one ReLU.  The input tile's ones rows are set once per call.
+        (``_nonzero_layers``, ``_live_layers``): one matmul per contiguous
+        diagonal block of W, each block with a bias multiplying [W | b] by
+        its input rows and a ones row, one fill of the ones rows that the
+        next layer reads, and one ReLU.  The input tile's ones rows are set once per call.
         ``eval_exact`` walks the same plan in exact arithmetic.
         """
         x = np.asarray(x, dtype=float)
@@ -195,7 +196,8 @@ class ReluNetwork:
     def _plan(self) -> _Plan:
         """The cached evaluation plan of the live layers (``_build_plan``)."""
         if self._eval_plan is None:
-            self._eval_plan = _build_plan(self.input_dim, _live_layers(self.layers))
+            self._eval_plan = _build_plan(self.input_dim,
+                                           _live_layers(_nonzero_layers(self.layers)))
         return self._eval_plan
 
     def eval_scalar_input(self, t):
@@ -225,6 +227,44 @@ def _live_layers(layers, rows=slice(None), tail: bool = False):
         if tail and isinstance(rows, slice):
             return [*layers[:k], *out[::-1]]
     return out[::-1]
+
+
+def _nonzero_layers(layers, seams=None):
+    """``layers`` without the units that are 0 for every input.  Past the
+    first layer every input of a layer is a ReLU output, >= 0, so a ReLU
+    unit whose weights and bias are all <= 0 sums only terms <= 0 in
+    float64, and its ReLU is +-0.  One pass in layer order drops each such
+    unit and the weights that read it, so a drop can zero units further on;
+    other sums lose only +-0 terms.  A core repeats its stage layers, and
+    the rows kept in front of a stage settle after two stages, so each
+    (layer, kept columns) pair is cut once.  With ``seams``, the indices of
+    the layers where nets already cut were joined, the pass cuts from each
+    seam on, up to the first layer that keeps every row."""
+    out, cols, memo = [], None, {}
+    for k, l in enumerate(layers):
+        if cols is None and seams is not None and k not in seams:
+            out.append(l)
+            continue
+        key = (id(l), cols, k > 0)
+        if key not in memo:
+            W, b, rows = l.weights, l.bias, None
+            if cols is not None:
+                W = W[:, np.frombuffer(cols, dtype=np.intp)]
+            if k and l.activation == "relu":
+                pos = (np.asarray((W > 0).sum(axis=1)).ravel() > 0) | (b > 0)
+                if not pos.all():
+                    keep = np.flatnonzero(pos)
+                    W, b, rows = W[keep], b[keep], keep.tobytes()
+            memo[key] = (l if W is l.weights else Layer(W, b, l.activation)), rows
+        lay, cols = memo[key]
+        out.append(lay)
+    return out
+
+
+def cut_zeros(net: ReluNetwork, seams=None) -> ReluNetwork:
+    """``net`` without its units that are 0 for every input
+    (``_nonzero_layers``), cut from its ``seams`` on if given."""
+    return ReluNetwork._canonical(net.input_dim, _nonzero_layers(net.layers, seams))
 
 
 def cut_tail(net: ReluNetwork, outputs) -> ReluNetwork:

@@ -123,7 +123,8 @@ SWEEP_EXAMPLES = ["koch", "levy", "heighway", "hilbert_type", "hilbert", "gosper
 
 def test_verify_sweep_passes_and_stores_no_dead_unit(capsys):
     # every gallery example in each mode it honours, at stages 0-3 and the
-    # CLI's own --tol; each build's net stores only rows that its outputs read
+    # CLI's own --tol; each build's net stores only rows that its outputs
+    # read, and no unit that is 0 for every input
     nets = []
 
     def build(args):
@@ -140,9 +141,9 @@ def test_verify_sweep_passes_and_stores_no_dead_unit(capsys):
                     run = (example, mode, stage)
                     assert main(["verify", "--example", example, "--mode", mode,
                                  "--stage", str(stage)]) == 0, run
-                    live = network._live_layers(nets[-1].layers)
-                    assert [l.weights.shape for l in live] == \
-                        [l.weights.shape for l in nets[-1].layers], run
+                    shapes = [l.weights.shape for l in nets[-1].layers]
+                    for cut in [network._live_layers, network._nonzero_layers]:
+                        assert [l.weights.shape for l in cut(nets[-1].layers)] == shapes, run
                     runs.append(run)
     assert len(runs) == 64
     assert capsys.readouterr().out.count("PASS") == 64

@@ -111,6 +111,38 @@ def test_gate_half_built_once_per_sweep():
         _clear_program_caches()
 
 
+def _sweep():
+    op, gam = scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
+    return [lambda n=n: compile_homogeneous(op, gam, n).net for n in range(1, 7)]
+
+
+def _heighway():
+    inst = gallery.heighway()
+    return [lambda: compile_anchored(inst.op(), None, inst.anchor(), None, 8).net]
+
+
+@pytest.mark.parametrize("build, curves", [(_sweep, 1), (_heighway, 2)],
+                         ids=["sweep", "heighway-anchored"])
+def test_compiles_decompose_each_curve_once(build, curves):
+    # a sweep's stages share their curve, and an anchored compile's jobs of
+    # powers 1..n-1 share the defect E (beside the zero curve of power n):
+    # each curve is decomposed once, and every net equals the one that a
+    # compile from cold caches gives
+    _clear_program_caches()
+    try:
+        compiles = build()
+        with mock.patch.object(compiler, "decompose_atomic",
+                               wraps=compiler.decompose_atomic) as dec:
+            nets = [f() for f in compiles]
+        assert dec.call_count == curves
+        assert compiler._growth.cache_info().misses == 1
+        for f, net in zip(compiles, nets):
+            _clear_program_caches()
+            assert _net_bytes(net) == _net_bytes(f())
+    finally:
+        _clear_program_caches()
+
+
 def test_atomic_unit_interval_net():
     op = scalar_op()
     h = SpecialHat(hat(0.25, 0.5, 0.75))

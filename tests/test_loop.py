@@ -96,6 +96,7 @@ def gallery_hats():
         hats.update(((tuple(t.hat.base.ts), tuple(t.hat.base.vs)), t.hat) for t in terms)
         return terms
 
+    compiler._atomic_terms.cache_clear()    # decompose every curve anew
     with mock.patch.object(compiler, "decompose_atomic", record):
         for name in gallery.NAMED_INSTANCES:
             kind, op, src = cli._source(argparse.Namespace(spec=None, example=name))

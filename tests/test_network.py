@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -7,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from refinet import compile_anchored, gallery, network
+from refinet import cli, network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, constant, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, cut_tail,
                              eval_exact, from_json_dict, identity_net,
                              load_network, lower_curve_1d, lower_scalar_cpwl,
                              net_stats, passthrough, post_affine, pre_affine,
                              save_network, serial, stack_nets, to_json_dict)
-from refinet.reductions import stack_curves, stack_system
 
 
 def rand_pts(rng, n, d):
@@ -314,11 +314,10 @@ def test_csr_layers_store_no_zeros():
                                         np.sin(np.linspace(0, 6, 40))))
     wide = stack_nets([serial(base, passthrough(1, "general", 2))] * 100,
                       [[0]] * 100, 1)
-    # gosper stacked n=2, the compiled net whose wide layers are CSR
-    op = stack_system(gallery.gosper_system())
-    anchor = stack_curves([gallery.straight_anchor((0, 0), (1, 0))] * 2)
-    gosper = compile_anchored(op, None, anchor, None, 2).net
-    for net in [wide, gosper]:
+    # morton3 anchored n=3, a compiled net whose wide layers are CSR
+    _, op, inst = cli._source(argparse.Namespace(spec=None, example="morton3"))
+    morton3 = cli.MODES["connector"]["anchored"][0](op, inst, 3).net
+    for net in [wide, morton3]:
         csr = _csr_layers(net)
         assert csr
         assert all(W.nnz == W.count_nonzero() for W in csr)
@@ -627,6 +626,71 @@ def test_plan_holds_only_live_rows(net_rng, N):
     assert planted(x).tobytes() == net(x).tobytes()
     assert np.allclose(planted(x), _reference(planted, x), rtol=1e-12, atol=1e-12)
     _check_exact(planted, x)
+
+
+def _zero_units(net):
+    """Per layer, the units that are 0 for every input by the forward rule,
+    found by a plain loop: past the first layer, a ReLU unit whose bias and
+    weights on the units kept in front of it are all <= 0."""
+    dropped, kept = [], range(net.input_dim)
+    for k, l in enumerate(net.layers):
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        drop = [i for i in range(W.shape[0])
+                if k and l.activation == "relu" and l.bias[i] <= 0
+                and all(W[i, j] <= 0 for j in kept)]
+        dropped.append(drop)
+        kept = [i for i in range(W.shape[0]) if i not in drop]
+    return dropped
+
+
+@st.composite
+def signed_nets(draw):
+    """Random ReLU nets in which some units have every weight and their
+    bias <= 0, with exact zeros and CSR layers."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    layers, prev = [], d
+    for i, w in enumerate([*widths, draw(st.integers(1, 3))]):
+        W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.7)
+        b = rng.normal(size=w) * (rng.uniform(size=w) < 0.7)
+        neg = rng.uniform(size=w) < 0.4
+        W[neg], b[neg] = -np.abs(W[neg]), -np.abs(b[neg])
+        layers.append(Layer(sparse.csr_matrix(W) if draw(st.booleans()) else W, b,
+                            "linear" if i == len(widths) else "relu"))
+        prev = w
+    return ReluNetwork(d, layers), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_nets(), st.integers(1, 6))
+def test_forward_cut_drops_only_zero_units(net_rng, N):
+    net, rng = net_rng
+    dropped = _zero_units(net)
+    cut = network._nonzero_layers(net.layers)
+    assert [l.weights.shape[0] for l in cut] == \
+        [l.weights.shape[0] - len(drop) for l, drop in zip(net.layers, dropped)]
+    # every dropped unit reads 0 on inputs of either sign, in float64 and exactly
+    x = 4 * rng.normal(size=(N, net.input_dim))
+    y, q = x, [[Fraction(v) for v in p] for p in x.tolist()]
+    for l, drop in zip(net.layers, dropped):
+        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        y = np.maximum(y @ W.T + l.bias, 0.0)
+        q = [[max(sum((Fraction(w) * v for w, v in zip(row, p)), Fraction(c)), 0)
+              for row, c in zip(W.tolist(), l.bias.tolist())] for p in q]
+        assert np.all(y[:, drop] == 0) and all(p[i] == 0 for p in q for i in drop)
+    # the plan of the net, cut so, evaluates exactly as its layers
+    _check_exact(net, x)
+    # a dropped unit whose bias turns positive is kept
+    k = next((k for k, drop in enumerate(dropped) if drop), None)
+    if k is not None:
+        l = net.layers[k]
+        b = l.bias.copy()
+        b[dropped[k][0]] = 0.5
+        layers = [*net.layers[:k], Layer(l.weights, b, l.activation), *net.layers[k + 1:]]
+        assert network._nonzero_layers(layers)[k].weights.shape[0] == \
+            cut[k].weights.shape[0] + 1
 
 
 def test_eval_exact_reads_csr_layers():
