@@ -190,7 +190,7 @@ class ReluNetwork:
                 if relu:
                     np.maximum(buf, 0.0, out=buf)
                 y = buf
-            out[s:s + tile] = y[:, :len(xs)].T
+            out[s:s + tile] = y[:self.output_dim, :len(xs)].T
         return out[0] if single else out
 
     def _plan(self) -> _Plan:
@@ -211,9 +211,7 @@ def _live_layers(layers, rows=slice(None), tail: bool = False):
     by default).  A row of an earlier layer is live when some live row of
     the next layer has a nonzero weight on it.  A dead row adds only exact
     0 * y terms to the outputs, so dropping it keeps every sum that BLAS
-    adds in index order bitwise; a one-row block runs as a matrix-vector
-    product, which OpenBLAS sums in interleaved lanes, so its sums can move
-    by an ulp.  With ``tail`` the cut stops at the first layer that loses
+    adds in index order bitwise.  With ``tail`` the cut stops at the first layer that loses
     no row, and the layers before it stay as they are."""
     out = []
     for k in range(len(layers) - 1, -1, -1):
@@ -337,7 +335,8 @@ class _Plan(NamedTuple):
     """A float64 evaluation plan.  The input tile has ``rows`` rows: the
     point coordinates at ``x_rows`` and ones rows at ``ones``.  Each layer
     is a step (rows, [(row slice, column slice, W, add)], ones rows, relu),
-    where ``add`` marks a column chunk that adds to the rows its block's
+    where the row slice of a one-row block also takes the step's last row, a
+    spare that no later step reads, and ``add`` marks a column chunk that adds to the rows its block's
     earlier chunks wrote; ``chunk_rows`` is the most rows of such a chunk,
     and ``entries`` counts the weights that the blocks multiply per point,
     their bias columns and zero rows aside."""
@@ -357,9 +356,13 @@ def _build_plan(input_dim: int, layers) -> _Plan:
     Each activation therefore holds a ones row right after the column range
     of every such block of the next layer, all set by one fill per layer,
     and a block whose rows straddle a ones row holds a zero row there.  A
-    block with no weights multiplies its bias by any ones row.  A block of
-    more than ``_CHUNK`` columns is split into chunks of at most that many,
-    the bias column in the last.
+    block with no weights multiplies its bias by any ones row.  numpy runs a
+    one-row block as a matrix-vector product, which OpenBLAS sums in
+    interleaved lanes, so its sums would depend on where exact zeros sit;
+    each gets a zero row, written to a spare row at the end of the layer's
+    activation, and runs as a matrix product.  A block of more than
+    ``_CHUNK`` columns is split into chunks of at most that many, the bias
+    column in the last.
     """
     steps, entries, after = [], 0, []
     for l, blocks in zip(layers[::-1], _diagonal_blocks(layers)[::-1]):
@@ -370,7 +373,7 @@ def _build_plan(input_dim: int, layers) -> _Plan:
             need = [n_in - 1]
         out, out_ones = _layout(n_out, after)
         inp, in_ones = _layout(n_in, need)
-        mats = []
+        mats, spare, pad = [], n_out + len(after), 0
         for (r0, r1, c0, c1), f in zip(blocks, fold):
             rs = slice(out[r0], out[r1 - 1] + 1)
             if c1 > c0:
@@ -386,10 +389,13 @@ def _build_plan(input_dim: int, layers) -> _Plan:
                 M = np.zeros((rs.stop - rs.start, W.shape[1]))
                 M[np.array(out[r0:r1]) - rs.start] = W
                 W = M
+            elif r1 - r0 == 1:
+                W = np.vstack([W, np.zeros_like(W)])
+                rs, pad = slice(rs.start, spare + 1, spare - rs.start), 1
             for k in range(0, W.shape[1], _CHUNK):
                 mats.append((rs, slice(cs.start + k, min(cs.stop, cs.start + k + _CHUNK)),
                              np.ascontiguousarray(W[:, k:k + _CHUNK]), k > 0))
-        steps.append((n_out + len(after), tuple(mats), np.array(out_ones, dtype=int),
+        steps.append((spare + pad, tuple(mats), np.array(out_ones, dtype=int),
                       l.activation == "relu"))
         after = need
     pos, ones = _layout(input_dim, after)
@@ -442,7 +448,7 @@ def eval_exact(net: ReluNetwork, x) -> np.ndarray:
             acc[rs][i[starts]] += np.add.reduceat(w[:, None] * y[cs][j], starts, axis=0)
         acc[ones] = 1 << (a + s)
         y, s = (np.maximum(acc, 0) if relu else acc), a + s
-    out = y.T.reshape(x.shape[:-1] + (net.output_dim,))
+    out = y[:net.output_dim].T.reshape(x.shape[:-1] + (net.output_dim,))
     return np.frompyfunc(lambda v: Fraction(v, 1 << s), 1, 1)(out)
 
 

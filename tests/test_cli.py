@@ -106,13 +106,14 @@ def test_verify_connector_low_stages(stage, capsys):
 
 def test_verify_folds_one_row_bias(capsys):
     # morton3's anchored stage-1 net holds a one-row block with bias 0.25,
-    # which folds into its matmul as every other bias does
+    # which folds into its matmul as every other bias does; the block runs
+    # padded with a zero row, as a matrix product
     rc = main(["verify", "--example", "morton3", "--stage", "1", "--tol", "1e-6"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
     ci, _, op = _build(argparse.Namespace(spec=None, example="morton3", mode="anchored",
                                           stage=1))
-    assert any(W.shape[0] == 1 and W[0, -1] == 0.25
+    assert any(W.shape[0] == 2 and W[0, -1] == 0.25 and not W[1].any()
                for _, mats, _, _ in ci.net._plan().steps for _, _, W, _ in mats)
     _check_exact(ci.net, _verify_grid(op.M, 1, op.L, 1000)[:, None])
 

@@ -243,7 +243,8 @@ def test_plan_splits_layers_into_diagonal_blocks():
 def test_plan_folds_one_row_biases():
     # one-row blocks fold their bias as every other block does: hidden row 0
     # multiplies [1 2 3 | 0.5] by x0-x2 and a ones row, and output row 2
-    # [3 4 | 1] by hidden rows 1-2 and a ones row
+    # [3 4 | 1] by hidden rows 1-2 and a ones row; each runs as a matrix
+    # product, padded with a zero row that writes its layer's spare last row
     net = ReluNetwork(4, [Layer(np.array([[1.0, 2.0, 3.0, 0.0], [0.0, 0.0, 0.0, 2.0],
                                           [0.0, 0.0, 0.0, 3.0]]),
                                 np.array([0.5, 1.0, 2.0]), "relu"),
@@ -253,13 +254,13 @@ def test_plan_folds_one_row_biases():
     assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (6, [0, 1, 2, 4], [3, 5])
     (rows, mats, ones, _), (rows2, mats2, ones2, _) = plan.steps
     assert [(rs, cs, M.tolist()) for rs, cs, M, _ in mats] == [
-        (slice(0, 1), slice(0, 4), [[1.0, 2.0, 3.0, 0.5]]),
+        (slice(0, 6, 5), slice(0, 4), [[1.0, 2.0, 3.0, 0.5], [0.0] * 4]),
         (slice(2, 4), slice(4, 6), [[2.0, 1.0], [3.0, 2.0]])]
-    assert (rows, ones.tolist()) == (5, [1, 4])
+    assert (rows, ones.tolist()) == (6, [1, 4])
     assert [(rs, cs, M.tolist()) for rs, cs, M, _ in mats2] == [
         (slice(0, 2), slice(0, 2), [[1.0, 1.0], [2.0, 1.0]]),
-        (slice(2, 3), slice(2, 5), [[3.0, 4.0, 1.0]])]
-    assert (rows2, ones2.tolist()) == (3, [])
+        (slice(2, 4, 1), slice(2, 5), [[3.0, 4.0, 1.0], [0.0] * 3])]
+    assert (rows2, ones2.tolist()) == (4, [])
     # matmuls, the fill of the ones rows and the ReLU
     assert net_stats(net)["eval_calls"] == (2 + 1 + 1) + 2
     x = np.random.default_rng(6).normal(size=(9, 4))
@@ -680,7 +681,11 @@ def test_forward_cut_drops_only_zero_units(net_rng, N):
         q = [[max(sum((Fraction(w) * v for w, v in zip(row, p)), Fraction(c)), 0)
               for row, c in zip(W.tolist(), l.bias.tolist())] for p in q]
         assert np.all(y[:, drop] == 0) and all(p[i] == 0 for p in q for i in drop)
-    # the plan of the net, cut so, evaluates exactly as its layers
+    # the cut net evaluates bitwise as the whole net, and exactly as its layers
+    whole = ReluNetwork(net.input_dim, net.layers)
+    with mock.patch.object(network, "_nonzero_layers", lambda layers: list(layers)):
+        want = whole(x)
+    assert np.array_equal(ReluNetwork._canonical(net.input_dim, cut)(x), want)
     _check_exact(net, x)
     # a dropped unit whose bias turns positive is kept
     k = next((k for k, drop in enumerate(dropped) if drop), None)
