@@ -131,7 +131,7 @@ class ReluNetwork:
 
     @property
     def depth(self) -> int:
-        return sum(1 for l in self.layers if l.activation == "relu")
+        return len(self.layers) - 1     # canonical: ReLU layers, then one linear
 
     def __call__(self, x):
         """Evaluate on x of shape (d,) or (N, d), in float64.
@@ -154,8 +154,9 @@ class ReluNetwork:
         (``_nonzero_layers``, ``_live_layers``): one matmul per contiguous
         diagonal block of W, each block with a bias multiplying [W | b] by
         its input rows and a ones row, one fill of the ones rows that the
-        next layer reads, and one ReLU.  The input tile's ones rows are set once per call.
-        ``eval_exact`` walks the same plan in exact arithmetic.
+        next layer reads, and one ReLU.  The input tile's ones rows are set
+        once per call.  ``eval_exact`` walks the same plan in exact
+        arithmetic.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -211,14 +212,15 @@ def _live_layers(layers, rows=slice(None), tail: bool = False):
     by default).  A row of an earlier layer is live when some live row of
     the next layer has a nonzero weight on it.  A dead row adds only exact
     0 * y terms to the outputs, so dropping it keeps every sum that BLAS
-    adds in index order bitwise.  With ``tail`` the cut stops at the first layer that loses
-    no row, and the layers before it stay as they are."""
+    adds in index order bitwise.  With ``tail`` the cut stops at the first
+    layer that loses no row, and the layers before it stay as they are."""
     out = []
     for k in range(len(layers) - 1, -1, -1):
         l = layers[k]
         W, b = l.weights[rows], l.bias[rows]    # rows: the live rows of layer k
         if k:
-            used = np.asarray((W != 0).sum(axis=0)).ravel() > 0
+            used = (np.asarray((W != 0).sum(axis=0)).ravel() > 0 if _issparse(W)
+                    else W.any(axis=0))
             rows = slice(None) if used.all() else np.flatnonzero(used)
             W = W[:, rows]
         out.append(Layer(W, b, l.activation))
@@ -238,25 +240,34 @@ def _nonzero_layers(layers, seams=None):
     (layer, kept columns) pair is cut once.  With ``seams``, the indices of
     the layers where nets already cut were joined, the pass cuts from each
     seam on, up to the first layer that keeps every row."""
-    out, cols, memo = [], None, {}
-    for k, l in enumerate(layers):
+    # cols, idx: the rows kept in the layer before, as bytes (the memo key)
+    # and as indices; None while it keeps every row
+    out, cols, idx, memo = list(layers), None, None, {}
+    for k in range(0 if seams is None else min(seams, default=len(layers)), len(layers)):
+        l = layers[k]
         if cols is None and seams is not None and k not in seams:
-            out.append(l)
             continue
         key = (id(l), cols, k > 0)
-        if key not in memo:
-            W, b, rows = l.weights, l.bias, None
-            if cols is not None:
-                W = W[:, np.frombuffer(cols, dtype=np.intp)]
+        hit = memo.get(key)
+        if hit is None:
+            W, b, rows, keep = l.weights, l.bias, None, None
+            if idx is not None:
+                W = W[:, idx]
             if k and l.activation == "relu":
-                pos = (np.asarray((W > 0).sum(axis=1)).ravel() > 0) | (b > 0)
+                pos = _positive_rows(W, b)
                 if not pos.all():
                     keep = np.flatnonzero(pos)
                     W, b, rows = W[keep], b[keep], keep.tobytes()
-            memo[key] = (l if W is l.weights else Layer(W, b, l.activation)), rows
-        lay, cols = memo[key]
-        out.append(lay)
+            hit = memo[key] = (l if W is l.weights else Layer(W, b, l.activation)), rows, keep
+        out[k], cols, idx = hit
     return out
+
+
+def _positive_rows(W, b) -> np.ndarray:
+    """Which rows of the layer (W, b) hold a weight or a bias > 0."""
+    if _issparse(W):
+        return (np.asarray((W > 0).sum(axis=1)).ravel() > 0) | (b > 0)
+    return np.maximum(W.max(axis=1, initial=0.0), b) > 0
 
 
 def cut_zeros(net: ReluNetwork, seams=None) -> ReluNetwork:
@@ -336,10 +347,10 @@ class _Plan(NamedTuple):
     point coordinates at ``x_rows`` and ones rows at ``ones``.  Each layer
     is a step (rows, [(row slice, column slice, W, add)], ones rows, relu),
     where the row slice of a one-row block also takes the step's last row, a
-    spare that no later step reads, and ``add`` marks a column chunk that adds to the rows its block's
-    earlier chunks wrote; ``chunk_rows`` is the most rows of such a chunk,
-    and ``entries`` counts the weights that the blocks multiply per point,
-    their bias columns and zero rows aside."""
+    spare that no later step reads, and ``add`` marks a column chunk that
+    adds to the rows its block's earlier chunks wrote; ``chunk_rows`` is the
+    most rows of such a chunk, and ``entries`` counts the weights that the
+    blocks multiply per point, their bias columns and zero rows aside."""
     rows: int
     x_rows: np.ndarray
     ones: np.ndarray

@@ -64,7 +64,8 @@ def test_benchmark_nets_within_ceiling(build, ceiling):
     assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
 
 
-@pytest.mark.parametrize("name, width", [("hilbert", 206), ("morton3", 996)])
+@pytest.mark.parametrize("name, width", [("hilbert", 206), ("morton3", 996)],
+                         ids=["hilbert", "morton3"])
 def test_gallery_stage3_within_width_ceiling(name, width):
     # every core is cut to the branch channels that its cells read, and to
     # the units that can be nonzero
