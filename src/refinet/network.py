@@ -3,11 +3,11 @@
 Networks are kept in canonical form: zero or more ReLU layers followed by
 exactly one linear output layer.  Affine maps fold into neighbouring
 layers, so pre/post composition and serial wiring never add depth.
-The constructor checks layers from outside (callers, JSON); composition
-reuses the checked layers of its nets and folds only at the seams.
-Layers that stack_nets builds wide, and CSR layers read from JSON, store no
-zeros.  Evaluation runs only the units that can be nonzero for some input
-(``_nonzero_layers``) and that some output reads (``_live_layers``).
+Every layer's weights are one dense float64 array.  The constructor checks
+layers from outside (callers, JSON); composition reuses the checked layers
+of its nets and folds only at the seams.  Evaluation runs only the units
+that can be nonzero for some input (``_nonzero_layers``) and that some
+output reads (``_live_layers``).
 """
 from __future__ import annotations
 
@@ -19,13 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from scipy import sparse as _sp
-
 from .cpwl import ScalarCpwl
 
-# stack_nets builds a joint layer with at least this many (out x in) entries
-# as CSR, since a dense block diagonal grows quadratically with the width
-_SPARSE_MIN_SIZE = 250_000
 # bytes of activations per layer that one tile of evaluated points may hold
 _EVAL_BUDGET = 16 * 2 ** 20
 # points per evaluation tile: at width 18 its two activations hold 1.2 MB, in L2
@@ -51,39 +46,17 @@ def _panels(n: int) -> int:
     return -(-n // _PANEL) * _PANEL
 
 
-def _issparse(W) -> bool:
-    # nearly every layer is dense: skip scipy's ABC check for arrays
-    return not isinstance(W, np.ndarray) and _sp.issparse(W)
-
-
-def _as_weights(W):
-    if _issparse(W):
-        return W.tocsr()
-    return np.asarray(W, dtype=float)
-
-
-def _matmul(A, B):
-    """A @ B for any mix of dense arrays and sparse matrices."""
-    if _issparse(A) and _issparse(B):
-        return (A @ B).tocsr()
-    if _issparse(A):
-        return np.asarray(A @ B)
-    if _issparse(B):
-        return np.asarray((B.T @ A.T).T)
-    return A @ B
-
-
 @dataclass(frozen=True)
 class Layer:
-    weights: object      # (out, in) ndarray or scipy CSR
+    weights: np.ndarray  # (out, in) float64
     bias: np.ndarray     # (out,)
     activation: str      # "relu" | "linear"
 
 
 def _fold(prev: Layer, lay: Layer) -> Layer:
     """``lay`` applied after the linear layer ``prev``, as one layer."""
-    return Layer(_matmul(lay.weights, prev.weights),
-                 lay.bias + np.asarray(lay.weights @ prev.bias).ravel(), lay.activation)
+    return Layer(lay.weights @ prev.weights, lay.bias + lay.weights @ prev.bias,
+                 lay.activation)
 
 
 def _canon(input_dim: int, layers):
@@ -92,7 +65,7 @@ def _canon(input_dim: int, layers):
     out = []
     d = input_dim
     for lay in layers:
-        W = _as_weights(lay.weights)
+        W = np.asarray(lay.weights, dtype=float)
         b = np.asarray(lay.bias, dtype=float).ravel()
         if W.ndim != 2 or W.shape[0] != b.size:
             raise ValueError("bad layer shapes")
@@ -219,8 +192,7 @@ def _live_layers(layers, rows=slice(None), tail: bool = False):
         l = layers[k]
         W, b = l.weights[rows], l.bias[rows]    # rows: the live rows of layer k
         if k:
-            used = (np.asarray((W != 0).sum(axis=0)).ravel() > 0 if _issparse(W)
-                    else W.any(axis=0))
+            used = W.any(axis=0)
             rows = slice(None) if used.all() else np.flatnonzero(used)
             W = W[:, rows]
         out.append(Layer(W, b, l.activation))
@@ -254,20 +226,14 @@ def _nonzero_layers(layers, seams=None):
             if idx is not None:
                 W = W[:, idx]
             if k and l.activation == "relu":
-                pos = _positive_rows(W, b)
+                # the rows that hold a weight or a bias > 0
+                pos = np.maximum(W.max(axis=1, initial=0.0), b) > 0
                 if not pos.all():
                     keep = np.flatnonzero(pos)
                     W, b, rows = W[keep], b[keep], keep.tobytes()
             hit = memo[key] = (l if W is l.weights else Layer(W, b, l.activation)), rows, keep
         out[k], cols, idx = hit
     return out
-
-
-def _positive_rows(W, b) -> np.ndarray:
-    """Which rows of the layer (W, b) hold a weight or a bias > 0."""
-    if _issparse(W):
-        return (np.asarray((W > 0).sum(axis=1)).ravel() > 0) | (b > 0)
-    return np.maximum(W.max(axis=1, initial=0.0), b) > 0
 
 
 def cut_zeros(net: ReluNetwork, seams=None) -> ReluNetwork:
@@ -287,7 +253,7 @@ def cut_tail(net: ReluNetwork, outputs) -> ReluNetwork:
 
 def _diagonal_blocks(layers):
     """Per layer, the (r0, r1, c0, c1) of contiguous diagonal blocks that
-    hold every nonzero of its weights (dense or CSR).
+    hold every nonzero of its weights.
 
     The finest split cuts after row i wherever no later row starts before
     the last column used by rows 0..i.  Neighbouring blocks then merge while
@@ -301,13 +267,7 @@ def _diagonal_blocks(layers):
     coff = np.concatenate(([0], np.cumsum(shapes[:, 1])))
     rows, cols = [], []
     for l, r, c in zip(layers, roff.tolist(), coff.tolist()):
-        W = l.weights
-        if _issparse(W):
-            W = W.tocoo()
-            nz = W.data != 0
-            i, j = W.row[nz], W.col[nz]
-        else:
-            i, j = np.divmod(np.flatnonzero(W.ravel() != 0), W.shape[1])
+        i, j = np.nonzero(l.weights)
         rows.append(i + r)
         cols.append(j + c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -336,10 +296,6 @@ def _diagonal_blocks(layers):
                 continue
         blocks.append((r0, r1, c0, c1, fine))
     return [[blk[:4] for blk in blocks] for blocks in out]
-
-
-def _dense(W) -> np.ndarray:
-    return W.toarray() if _issparse(W) else np.ascontiguousarray(W)
 
 
 class _Plan(NamedTuple):
@@ -388,7 +344,7 @@ def _build_plan(input_dim: int, layers) -> _Plan:
         for (r0, r1, c0, c1), f in zip(blocks, fold):
             rs = slice(out[r0], out[r1 - 1] + 1)
             if c1 > c0:
-                W = _dense(l.weights[r0:r1, c0:c1])
+                W = l.weights[r0:r1, c0:c1]
                 cs = slice(inp[c0], inp[c1 - 1] + 1 + f)
             else:
                 W = np.zeros((r1 - r0, 0))
@@ -541,19 +497,9 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
     for li in range(D + 1):
         blocks = [n.layers[li] for n in nets]
         rows = list(accumulate((b.weights.shape[0] for b in blocks), initial=0))
-        if rows[-1] * d >= _SPARSE_MIN_SIZE:
-            coo = [_sp.coo_matrix(b.weights) for b in blocks]
-            W = _sp.csr_matrix((np.concatenate([m.data for m in coo]),
-                                (np.concatenate([m.row + r for m, r in zip(coo, rows)]),
-                                 np.concatenate([np.arange(d)[c][m.col]
-                                                 for m, c in zip(coo, cols)]))),
-                               shape=(rows[-1], d))
-            W.eliminate_zeros()
-            W.sort_indices()
-        else:
-            W = np.zeros((rows[-1], d))
-            for b, r0, r1, c in zip(blocks, rows, rows[1:], cols):
-                W[r0:r1, c] = b.weights.toarray() if _issparse(b.weights) else b.weights
+        W = np.zeros((rows[-1], d))
+        for b, r0, r1, c in zip(blocks, rows, rows[1:], cols):
+            W[r0:r1, c] = b.weights
         layers.append(Layer(W, np.concatenate([b.bias for b in blocks]),
                             blocks[0].activation))
         cols = [slice(r0, r1) for r0, r1 in zip(rows, rows[1:])]
@@ -579,16 +525,10 @@ def lower_curve_1d(curve) -> ReluNetwork:
     return stack_nets(nets, [[0]] * len(nets), 1)
 
 
-def _abs_max(W) -> float:
-    if _issparse(W):
-        return float(np.max(np.abs(W.data))) if W.nnz else 0.0
-    return float(np.max(np.abs(W))) if W.size else 0.0
-
-
 def _sizes(net: ReluNetwork) -> dict:
     return {"width": max(l.weights.shape[0] for l in net.layers), "depth": net.depth,
-            "coeff_max": max(max(_abs_max(l.weights), _abs_max(l.bias))
-                             for l in net.layers)}
+            "coeff_max": max(float(np.abs(a).max(initial=0.0))
+                             for l in net.layers for a in (l.weights, l.bias))}
 
 
 def net_stats(net: ReluNetwork) -> dict:
@@ -606,8 +546,7 @@ def net_stats(net: ReluNetwork) -> dict:
         "output_dim": net.output_dim,
         **_sizes(net),
         "layer_count": len(net.layers),
-        "nnz": sum(l.weights.nnz if _issparse(l.weights) else np.count_nonzero(l.weights)
-                   for l in net.layers),
+        "nnz": sum(np.count_nonzero(l.weights) for l in net.layers),
         "eval_entries": plan.entries,
         "eval_calls": sum(sum(1 + add for *_, add in mats) + (ones.size > 0) + relu
                           for _, mats, ones, relu in plan.steps),
@@ -617,26 +556,30 @@ def net_stats(net: ReluNetwork) -> dict:
 
 
 def _layer_to_json(l: Layer) -> dict:
-    d = {"bias": l.bias.tolist(), "activation": l.activation}
-    if _issparse(l.weights):
-        coo = l.weights.tocoo()
-        d["weights_coo"] = {
-            "shape": list(coo.shape),
-            "rows": coo.row.tolist(),
-            "cols": coo.col.tolist(),
-            "vals": coo.data.tolist(),
-        }
-    else:
-        d["weights"] = l.weights.tolist()
-    return d
+    """A layer as its bias and the (row, col, value) triplets of its nonzero
+    weights: a -0.0 weight reads back as 0.0, which computes the same."""
+    W = l.weights
+    rows, cols = np.nonzero(W)
+    return {"bias": l.bias.tolist(), "activation": l.activation,
+            "weights_coo": {"shape": list(W.shape), "rows": rows.tolist(),
+                            "cols": cols.tolist(), "vals": W[rows, cols].tolist()}}
 
 
 def _layer_from_json(d: dict) -> Layer:
+    """A layer from ``_layer_to_json``'s triplets, or from the dense
+    ``weights`` of older files.  Triplets at one position sum, as older
+    files meant them."""
     if "weights_coo" in d:
         c = d["weights_coo"]
-        W = _sp.coo_matrix((c["vals"], (c["rows"], c["cols"])),
-                           shape=tuple(c["shape"])).tocsr()
-        W.eliminate_zeros()    # files written by older versions store zeros
+        n, m = (int(k) for k in c["shape"])
+        rows, cols = (np.asarray(c[k], dtype=int) for k in ("rows", "cols"))
+        vals = np.asarray(c["vals"], dtype=float)
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("weights_coo rows, cols and vals differ in length")
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= m)):
+            raise ValueError(f"weights_coo index outside shape {(n, m)}")
+        W = np.zeros((n, m))
+        np.add.at(W, (rows, cols), vals)
     else:
         W = np.asarray(d["weights"], dtype=float)
     return Layer(W, np.asarray(d["bias"], dtype=float), d["activation"])

@@ -7,8 +7,12 @@ names a long-double type: networks evaluate in float64, and exactly through
 ``network.eval_exact``.  Every cache of the package is a ``functools`` cache
 on a module-level function, which the benchmark's ``clear_caches`` finds
 among the module's attributes and empties, so that each timed compile
-starts cold."""
+starts cold.  The package imports no third-party module but those that
+``pyproject.toml`` declares, and ``import refinet`` loads no scipy."""
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +200,36 @@ def test_misplaced_caches_found():
                          ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_caches_are_module_level_functools(path):
     assert misplaced_caches(path.read_text()) == []
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level names of the absolute imports that are not of the standard
+    library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_third_party_imports_found():
+    src = ("import os.path\nimport numpy as np\nfrom scipy import sparse\n"
+           "from . import network\nfrom json import dumps\n")
+    assert third_party_imports(src) == {"numpy", "scipy"}
+
+
+def test_package_imports_its_dependencies_only():
+    deps = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                     re.M | re.S).group(1)
+    declared = {d.lower().replace("-", "_") for d in re.findall(r'"([\w.-]+)', deps)}
+    used = set().union(*(third_party_imports(p.read_text()) for p in PACKAGE))
+    assert used == declared == {"numpy"}
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, refinet; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src", check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

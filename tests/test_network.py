@@ -1,4 +1,3 @@
-import argparse
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -6,9 +5,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
-from refinet import cli, network
+from refinet import network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, constant, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, cut_tail,
                              eval_exact, from_json_dict, identity_net,
@@ -43,9 +41,8 @@ def test_lower_scalar_cpwl_exact():
 
 def unread_units(net):
     """The hidden units of ``net`` whose outgoing weights are all zero."""
-    return sum(int(np.count_nonzero(~np.any(W != 0, axis=0))) for W in
-               (l.weights.toarray() if sparse.issparse(l.weights) else l.weights
-                for l in net.layers[1:]))
+    return sum(int(np.count_nonzero(~np.any(l.weights != 0, axis=0)))
+               for l in net.layers[1:])
 
 
 def test_lower_scalar_cpwl_emits_no_unread_unit():
@@ -173,29 +170,17 @@ def test_lower_curve_1d():
     assert np.max(np.abs(net.eval_scalar_input(ts) - curve(ts))) < 1e-12
 
 
-def test_sparse_stacking_is_exact():
-    # enough copies to push the block-diagonal layers over the sparse cutoff
+def test_wide_stacking_is_exact():
+    # 100 copies side by side, in dense block-diagonal layers 4,000 wide
     base = lower_scalar_cpwl(ScalarCpwl(np.linspace(0, 1, 40),
                                         np.sin(np.linspace(0, 6, 40))))
     wide = stack_nets([serial(base, passthrough(1, "general", 1))] * 100,
                       [[0]] * 100, 1)
-    from scipy import sparse
-    assert any(sparse.issparse(l.weights) for l in wide.layers)
+    assert [l.weights.shape for l in wide.layers] == [(4000, 1), (200, 4000), (100, 200)]
     ts = np.linspace(-0.2, 1.2, 200)
     out = wide.eval_scalar_input(ts)
-    want = base.eval_scalar_input(ts)[:, 0]
-    assert np.max(np.abs(out - want[:, None])) < 1e-12
-
-
-def test_json_roundtrip_dense_and_sparse():
-    base = lower_scalar_cpwl(hat(0.0, 0.5, 1.0))
-    wide = stack_nets([serial(base, passthrough(1, "general", 1))] * 100,
-                      [[0]] * 100, 1)
-    for net in [base, wide]:
-        back = from_json_dict(to_json_dict(net, builder="test"))
-        ts = np.linspace(-1, 2, 100)
-        assert np.max(np.abs(back.eval_scalar_input(ts)
-                             - net.eval_scalar_input(ts))) < 1e-15
+    want = base.eval_scalar_input(ts)
+    assert np.array_equal(out, np.repeat(want, 100, axis=1))
 
 
 def test_plan_is_built_once():
@@ -220,21 +205,20 @@ def test_plan_splits_layers_into_diagonal_blocks():
     W[3, 3:] = [4.0, 5.0]
     b = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0])
     net = ReluNetwork(5, [Layer(W, b, "relu"), Layer(np.ones((1, 7)), [0.0], "linear")])
-    for lay in [net.layers[0], Layer(sparse.csr_matrix(W), b, "relu")]:
-        plan = ReluNetwork(5, [lay])._plan()
-        # the blocks on columns 0-1 and 3-4 fold a bias, so a ones row
-        # follows each in the input
-        assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (7, [0, 1, 3, 4, 5],
-                                                                         [2, 6])
-        (rows, mats, ones, relu), _ = plan.steps
-        # zero rows join the block above while it at most doubles; rows 5-6
-        # have no weights and multiply their bias by a ones row
-        assert [(rs, cs) for rs, cs, *_ in mats] == [(slice(0, 3), slice(0, 3)),
-                                                    (slice(3, 5), slice(4, 7)),
-                                                    (slice(5, 7), slice(6, 7))]
-        assert [M.tolist() for _, _, M, _ in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
-                                                  [[4, 5, 0], [0, 0, 3]], [[0], [0]]]
-        assert (rows, ones.tolist(), relu) == (7, [], True)
+    plan = ReluNetwork(5, [net.layers[0]])._plan()
+    # the blocks on columns 0-1 and 3-4 fold a bias, so a ones row follows
+    # each in the input
+    assert (plan.rows, plan.x_rows.tolist(), plan.ones.tolist()) == (7, [0, 1, 3, 4, 5],
+                                                                     [2, 6])
+    (rows, mats, ones, relu), _ = plan.steps
+    # zero rows join the block above while it at most doubles; rows 5-6
+    # have no weights and multiply their bias by a ones row
+    assert [(rs, cs) for rs, cs, *_ in mats] == [(slice(0, 3), slice(0, 3)),
+                                                (slice(3, 5), slice(4, 7)),
+                                                (slice(5, 7), slice(6, 7))]
+    assert [M.tolist() for _, _, M, _ in mats] == [[[1, 2, 0], [0, 3, 1], [0, 0, 2]],
+                                              [[4, 5, 0], [0, 0, 3]], [[0], [0]]]
+    assert (rows, ones.tolist(), relu) == (7, [], True)
     assert net_stats(net)["eval_entries"] == 6 + 4 + 7
     x = np.random.default_rng(6).normal(size=(9, 5))
     assert np.allclose(net(x), _reference(net, x), rtol=1e-15, atol=1e-15)
@@ -305,44 +289,44 @@ def test_dimension_mismatch_raises():
             pre_affine(net, W, b)
 
 
-def _csr_layers(net):
-    return [l.weights for l in net.layers if sparse.issparse(l.weights)]
+def _coo_layer(shape, rows, cols, vals):
+    return {"bias": [0.0] * shape[0], "activation": "linear",
+            "weights_coo": {"shape": shape, "rows": rows, "cols": cols, "vals": vals}}
 
 
-def test_csr_layers_store_no_zeros():
-    # dense blocks over the sparse cutoff, each mostly zeros
-    base = lower_scalar_cpwl(ScalarCpwl(np.linspace(0, 1, 40),
-                                        np.sin(np.linspace(0, 6, 40))))
-    wide = stack_nets([serial(base, passthrough(1, "general", 2))] * 100,
-                      [[0]] * 100, 1)
-    # morton3 anchored n=3, a compiled net whose wide layers are CSR
-    _, op, inst = cli._source(argparse.Namespace(spec=None, example="morton3"))
-    morton3 = cli.MODES["connector"]["anchored"][0](op, inst, 3).net
-    for net in [wide, morton3]:
-        csr = _csr_layers(net)
-        assert csr
-        assert all(W.nnz == W.count_nonzero() for W in csr)
-
-
-def test_json_csr_zeros_dropped_on_load():
+def test_json_coo_sums_duplicates_and_zeros():
+    # explicit zeros and entries at one position, as older versions wrote
+    # them, load as the sum of each position's entries
     d = to_json_dict(identity_net(3))
-    d["layers"][0] = {"bias": [0.0, 0.0, 0.0], "activation": "linear",
-                      "weights_coo": {"shape": [3, 3], "rows": [0, 1, 2, 2],
-                                      "cols": [0, 1, 2, 0],
-                                      "vals": [1.0, 0.0, 2.0, 0.0]}}
+    d["layers"][0] = _coo_layer([3, 3], [0, 1, 2, 2, 0], [0, 1, 2, 0, 0],
+                                [1.0, 0.0, 2.0, 0.0, 0.5])
     net = from_json_dict(d)
-    (W,) = _csr_layers(net)
-    assert W.nnz == 2
+    assert net.layers[0].weights.tolist() == [[1.5, 0, 0], [0, 0, 0], [0, 0, 2]]
+    assert net_stats(net)["nnz"] == 2
     x = np.array([[1.0, 2.0, 3.0]])
-    assert np.array_equal(net(x), [[1.0, 0.0, 6.0]])
+    assert np.array_equal(net(x), [[1.5, 0.0, 6.0]])
+
+
+@pytest.mark.parametrize("layer", [
+    _coo_layer([2, 2], [0, -1], [0, 1], [1.0, 2.0]),
+    _coo_layer([2, 2], [0, 1], [-1, 1], [1.0, 2.0]),
+    _coo_layer([2, 2], [0, 2], [0, 1], [1.0, 2.0]),
+    _coo_layer([2, 2], [0, 1], [0, 2], [1.0, 2.0]),
+    _coo_layer([2, 2], [0, 1], [0, 1], [1.0]),
+    _coo_layer([2, 2], [0, 1], [0], [1.0, 2.0]),
+], ids=["negative-row", "negative-col", "row-past-shape", "col-past-shape",
+        "short-vals", "short-cols"])
+def test_json_coo_refuses_bad_indices(layer):
+    # numpy would wrap a negative index into the last row or column
+    with pytest.raises(ValueError):
+        from_json_dict({"input_dim": 2, "layers": [layer]})
 
 
 def _reference(net, x):
     """Plain per-layer evaluation, all points at once, point-major."""
     y = np.atleast_2d(x)
     for l in net.layers:
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
-        y = y @ W.T.astype(y.dtype) + l.bias
+        y = y @ l.weights.T.astype(y.dtype) + l.bias
         if l.activation == "relu":
             y = np.maximum(y, 0.0)
     return y
@@ -357,8 +341,6 @@ def random_nets(draw):
     layers, prev = [], d
     for i, w in enumerate(widths):
         W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.5)
-        if draw(st.booleans()):
-            W = sparse.csr_matrix(W)
         last = i == len(widths) - 1
         act = "linear" if last else draw(st.sampled_from(["relu", "linear"]))
         layers.append(Layer(W, rng.normal(size=w), act))
@@ -369,7 +351,7 @@ def random_nets(draw):
 @st.composite
 def stacked_nets(draw):
     """stack_nets of 1-4 random nets of unequal depth on random input
-    slices, with zero biases, all-zero rows and columns, and CSR layers."""
+    slices, with zero biases and all-zero rows and columns."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     d = draw(st.integers(1, 4))
@@ -388,31 +370,18 @@ def stacked_nets(draw):
             prev = w
         nets.append(ReluNetwork(sl.size, layers))
         slices.append(sl)
-    with mock.patch.object(network, "_SPARSE_MIN_SIZE", draw(st.integers(1, 400))):
-        return stack_nets(nets, slices, d), rng
+    return stack_nets(nets, slices, d), rng
 
 
 def _layer_bytes(l):
     W = l.weights
-    if sparse.issparse(W):
-        W = (W.shape, W.indptr.tobytes(), W.indices.tobytes(), W.data.tobytes())
-    else:
-        W = (W.shape, W.dtype, W.tobytes())
-    return type(l.weights), W, l.bias.dtype, l.bias.tobytes(), l.activation
+    return W.shape, W.dtype, W.tobytes(), l.bias.dtype, l.bias.tobytes(), l.activation
 
 
 def _same_layers(net, layers):
     """``net``'s layers are bitwise those of ``ReluNetwork(d, layers)``."""
     want = ReluNetwork(net.input_dim, layers).layers
     return [_layer_bytes(l) for l in net.layers] == [_layer_bytes(l) for l in want]
-
-
-def test_issparse_sees_every_sparse_kind():
-    W = np.eye(3)
-    assert not network._issparse(W) and not network._issparse(W.tolist())
-    for kind in [sparse.csr_matrix, sparse.coo_matrix, sparse.lil_matrix,
-                 sparse.csr_array]:
-        assert network._issparse(kind(W))
 
 
 def test_passthrough_is_canonical():
@@ -425,9 +394,8 @@ def test_passthrough_is_canonical():
 
 @st.composite
 def chains(draw):
-    """1-4 nets with matching seams: random nets with CSR layers, depth-0
-    affine nets (so that consecutive seams fold into each other) and
-    stack_nets with CSR joint layers."""
+    """1-4 nets with matching seams: random nets, depth-0 affine nets (so
+    that consecutive seams fold into each other) and stack_nets."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
@@ -442,8 +410,7 @@ def chains(draw):
             # two branches on the whole input, their outputs summed
             parts = [_random_net(rng, d, widths[:rng.integers(1, len(widths) + 1)] + [e])
                      for _ in range(2)]
-            with mock.patch.object(network, "_SPARSE_MIN_SIZE", 8):
-                net = stack_nets(parts, [range(d)] * 2, d)
+            net = stack_nets(parts, [range(d)] * 2, d)
             nets.append(post_affine(net, np.hstack([np.eye(e)] * 2), np.zeros(e)))
         else:
             nets.append(_random_net(rng, d, widths))
@@ -454,8 +421,6 @@ def _random_net(rng, d, widths):
     layers, prev = [], d
     for i, w in enumerate(widths):
         W = rng.normal(size=(w, prev)) * (rng.uniform(size=(w, prev)) < 0.6)
-        if rng.uniform() < 0.3:
-            W = sparse.csr_matrix(W)
         act = "linear" if i == len(widths) - 1 else "relu"
         layers.append(Layer(W, rng.normal(size=w) * (rng.uniform(size=w) < 0.5), act))
         prev = w
@@ -486,9 +451,8 @@ def test_composition_folds_only_at_seams(chain):
     assert pre.input_dim == 2
     assert _same_layers(pre, [Layer(W, b, "linear"), *net.layers])
     assert all(a is b for a, b in zip(pre.layers[1:], net.layers[1:]))
-    with mock.patch.object(network, "_SPARSE_MIN_SIZE", rng.integers(1, 20)):
-        stacked = stack_nets(nets, [range(n.input_dim) for n in nets],
-                             max(n.input_dim for n in nets))
+    stacked = stack_nets(nets, [range(n.input_dim) for n in nets],
+                         max(n.input_dim for n in nets))
     assert _same_layers(stacked, stacked.layers)
 
 
@@ -533,8 +497,7 @@ def _fraction_reference(net, x):
     """Plain per-layer evaluation in Fractions, point-major."""
     y = [[Fraction(v) for v in p] for p in np.atleast_2d(x).tolist()]
     for l in net.layers:
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
-        W = [[Fraction(w) for w in row] for row in W.tolist()]
+        W = [[Fraction(w) for w in row] for row in l.weights.tolist()]
         b = [Fraction(v) for v in l.bias.tolist()]
         y = [[sum((w * v for w, v in zip(row, p)), c) for row, c in zip(W, b)]
              for p in y]
@@ -552,7 +515,7 @@ def _rounding_bound(net, x):
     y = np.atleast_2d(x)
     err = np.zeros_like(y)
     for l in net.layers:
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        W = l.weights
         g = (W.shape[1] + 1) * u / (1 - (W.shape[1] + 1) * u)
         err = err @ np.abs(W).T + g * (np.abs(y) @ np.abs(W).T + np.abs(l.bias))
         y = y @ W.T + l.bias
@@ -601,7 +564,7 @@ def _plant_unread_units(net, rng):
     units, which are unread themselves."""
     layers, rows, cols = [], np.arange(net.input_dim), net.input_dim
     for k, l in enumerate(net.layers):
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        W = l.weights
         out = W.shape[0] + (int(rng.integers(1, 4)) if k < len(net.layers) - 1 else 0)
         prev, rows = rows, np.sort(rng.choice(out, W.shape[0], replace=False))
         W2 = rng.normal(size=(out, cols))
@@ -609,8 +572,7 @@ def _plant_unread_units(net, rng):
         W2[np.ix_(rows, prev)] = W
         b = rng.normal(size=out)
         b[rows] = l.bias
-        layers.append(Layer(sparse.csr_matrix(W2) if sparse.issparse(l.weights) else W2,
-                            b, l.activation))
+        layers.append(Layer(W2, b, l.activation))
         cols = out
     return ReluNetwork(net.input_dim, layers)
 
@@ -635,7 +597,7 @@ def _zero_units(net):
     weights on the units kept in front of it are all <= 0."""
     dropped, kept = [], range(net.input_dim)
     for k, l in enumerate(net.layers):
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
+        W = l.weights
         drop = [i for i in range(W.shape[0])
                 if k and l.activation == "relu" and l.bias[i] <= 0
                 and all(W[i, j] <= 0 for j in kept)]
@@ -647,7 +609,7 @@ def _zero_units(net):
 @st.composite
 def signed_nets(draw):
     """Random ReLU nets in which some units have every weight and their
-    bias <= 0, with exact zeros and CSR layers."""
+    bias <= 0, with exact zeros."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     d = draw(st.integers(1, 4))
@@ -658,8 +620,7 @@ def signed_nets(draw):
         b = rng.normal(size=w) * (rng.uniform(size=w) < 0.7)
         neg = rng.uniform(size=w) < 0.4
         W[neg], b[neg] = -np.abs(W[neg]), -np.abs(b[neg])
-        layers.append(Layer(sparse.csr_matrix(W) if draw(st.booleans()) else W, b,
-                            "linear" if i == len(widths) else "relu"))
+        layers.append(Layer(W, b, "linear" if i == len(widths) else "relu"))
         prev = w
     return ReluNetwork(d, layers), rng
 
@@ -676,10 +637,9 @@ def test_forward_cut_drops_only_zero_units(net_rng, N):
     x = 4 * rng.normal(size=(N, net.input_dim))
     y, q = x, [[Fraction(v) for v in p] for p in x.tolist()]
     for l, drop in zip(net.layers, dropped):
-        W = l.weights.toarray() if sparse.issparse(l.weights) else l.weights
-        y = np.maximum(y @ W.T + l.bias, 0.0)
+        y = np.maximum(y @ l.weights.T + l.bias, 0.0)
         q = [[max(sum((Fraction(w) * v for w, v in zip(row, p)), Fraction(c)), 0)
-              for row, c in zip(W.tolist(), l.bias.tolist())] for p in q]
+              for row, c in zip(l.weights.tolist(), l.bias.tolist())] for p in q]
         assert np.all(y[:, drop] == 0) and all(p[i] == 0 for p in q for i in drop)
     # the cut net evaluates bitwise as the whole net, and exactly as its layers
     whole = ReluNetwork(net.input_dim, net.layers)
@@ -698,14 +658,12 @@ def test_forward_cut_drops_only_zero_units(net_rng, N):
             cut[k].weights.shape[0] + 1
 
 
-def test_eval_exact_reads_csr_layers():
+def test_eval_exact_reads_stacked_nets():
     rng = np.random.default_rng(8)
     parts = [ReluNetwork(2, [Layer(rng.normal(size=(4, 2)), rng.normal(size=4), "relu"),
                              Layer(rng.normal(size=(1, 4)), [0.0], "linear")])
              for _ in range(3)]
-    with mock.patch.object(network, "_SPARSE_MIN_SIZE", 1):
-        net = stack_nets(parts, [[0, 1], [1, 2], [2, 0]], 3)
-    assert _csr_layers(net)
+    net = stack_nets(parts, [[0, 1], [1, 2], [2, 0]], 3)
     _check_exact(net, rng.normal(size=(7, 3)))
     # exact where float64 rounds, in any summation order: 1 + 2^-60 + 2^-60
     net = affine_net(np.array([[1.0, 1.0, 1.0]]), np.array([0.0]))

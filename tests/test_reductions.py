@@ -2,7 +2,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from refinet.cpwl import CpwlCurve, SupportError, curve_add, hat, zero_curve
 from refinet.gallery import (gosper_oracle, gosper_stage0, gosper_system,
@@ -63,10 +62,9 @@ def test_affine_depth_quadratic():
 
 
 def layer_bytes(net):
-    """Each layer as (activation, format, shape, weight bytes, bias bytes)."""
-    return [(l.activation, sparse.issparse(l.weights), l.weights.shape,
-             (l.weights.toarray() if sparse.issparse(l.weights) else l.weights).tobytes(),
-             l.bias.tobytes()) for l in net.layers]
+    """Each layer as (activation, shape, weight bytes, bias bytes)."""
+    return [(l.activation, l.weights.shape, l.weights.tobytes(), l.bias.tobytes())
+            for l in net.layers]
 
 
 def test_affine_single_job_is_homogeneous():

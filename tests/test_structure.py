@@ -1,17 +1,18 @@
 """Size ceilings of the three benchmark networks.
 
 Depth, width and nonzeros are counted as the benchmark counts them: ReLU
-layers, the widest layer, and the stored entries of CSR layers plus the
-nonzero entries of dense layers.  The fourth count is the weights the
-float64 evaluation plan multiplies per point (``net_stats``'
-``eval_entries``).  The compiles the benchmark times are held to a
-ceiling on the atomic cores they build, and on the rows of the joint
-layers that the compiler stacks, and evaluation to the activation
-buffers of one point tile.  A change that grows one of these nets, or the
-work or memory of compiling or evaluating it, fails here, before it
-reaches a benchmark run.
+layers, the widest layer, and the nonzero weights.  The fourth count is
+the weights the float64 evaluation plan multiplies per point
+(``net_stats``' ``eval_entries``).  The compiles the benchmark times are
+held to a ceiling on the atomic cores they build, and on the rows of the
+joint layers that the compiler stacks, and evaluation to the activation
+buffers of one point tile.  Every layer is a dense array, so the widest
+gallery net is held to a ceiling on its weight bytes.  A change that grows
+one of these nets, or the work or memory of compiling or evaluating it,
+fails here, before it reaches a benchmark run.
 """
 import argparse
+import json
 import tracemalloc
 from unittest import mock
 
@@ -21,11 +22,11 @@ import pytest
 from refinet import cli, compiler, gallery, network
 from refinet.compiler import compile_homogeneous
 from refinet.cpwl import CpwlCurve, hat
-from refinet.network import net_stats
+from refinet.network import Layer, load_network, net_stats, save_network
 from refinet.reductions import compile_anchored
 from refinet.refinement import RefinementOp
 from test_compiler import core_builds
-from test_network import _reference
+from test_network import _layer_bytes, _reference
 
 
 def structure(net):
@@ -71,6 +72,37 @@ def test_gallery_stage3_within_width_ceiling(name, width):
     # the units that can be nonzero
     got = net_stats(cli_anchored(name, 3).net)["width"]
     assert got <= width, (got, width)
+
+
+def test_widest_gallery_net_fits_dense():
+    # morton3 anchored stage 3, the widest of the CLI's gallery builds, holds
+    # 30.1 MiB of dense weights; a net past 32 MiB calls for a sparser format
+    net = cli_anchored("morton3", 3).net
+    assert sum(l.weights.nbytes for l in net.layers) < 32 * 2 ** 20
+
+
+def test_json_roundtrip_keeps_layers_and_outputs(tmp_path):
+    # a file holds the nonzero weights as (row, col, value) triplets: every
+    # layer reads back bitwise, bar -0.0 weights, which read back as 0.0 and
+    # compute the same; a file of dense weights, as older versions wrote for
+    # every layer of these nets, reads back bitwise
+    path = str(tmp_path / "net.json")
+    x = np.linspace(-0.5, 4.5, 2001)[:, None]
+    nets = [scalar_deep().net, anchored("koch", 3).net, anchored("heighway", 8).net]
+    for net in [*nets, cli_anchored("morton3", 3).net]:
+        save_network(net, path)
+        back = load_network(path)
+        assert [_layer_bytes(l) for l in back.layers] == \
+            [_layer_bytes(Layer(l.weights + 0.0, l.bias, l.activation)) for l in net.layers]
+        assert np.array_equal(back(x), net(x))
+    for net in nets:
+        old = {"input_dim": net.input_dim,
+               "layers": [{"bias": l.bias.tolist(), "activation": l.activation,
+                           "weights": l.weights.tolist()} for l in net.layers]}
+        with open(path, "w") as fh:
+            json.dump(old, fh)
+        back = load_network(path)
+        assert [_layer_bytes(l) for l in back.layers] == [_layer_bytes(l) for l in net.layers]
 
 
 @pytest.mark.parametrize("build", [scalar_deep, lambda: anchored("koch", 3),
