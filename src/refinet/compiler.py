@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cpwl import CpwlCurve, ScalarCpwl, SpecialHat, decompose_atomic
+from .cpwl import CpwlCurve, SpecialHat, decompose_atomic
 from .loop import (LoopConfig, build_controller_field, embed_curve,
                    scalar_field, selector_field)
 from .network import (Layer, ReluNetwork, affine_net, cut_tail, cut_zeros,
@@ -101,9 +101,8 @@ def _controller_step(M: int) -> ReluNetwork:
 
 
 @lru_cache(maxsize=None)
-def _scalar_head(ts: tuple, vs: tuple) -> ReluNetwork:
-    """H beside the carry of E, built once per hat (ts, vs)."""
-    h = SpecialHat(ScalarCpwl(np.array(ts), np.array(vs)))
+def _scalar_head(h: SpecialHat) -> ReluNetwork:
+    """H beside the carry of E, built once per hat."""
     return _beside_E(lower_planar_field(scalar_field(h)))
 
 
@@ -112,41 +111,28 @@ def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
     channels."""
     # x -> (z, E(x)) with z = E(x)
     start = post_affine(_embed_net(), np.vstack([np.eye(2)] * 2), np.zeros(4))
-    return serial(start, *[_controller_step(M)] * n,
-                  _scalar_head(tuple(h.base.ts), tuple(h.base.vs)))
-
-
-def _op_key(op: RefinementOp) -> tuple:
-    """The operator by content, as the caches key it: (M, p, L, mask), the
-    mask as (j, bytes of A_j) pairs."""
-    return op.M, op.p, op.L, tuple((j, A.tobytes()) for j, A in sorted(op.mask.items()))
-
-
-def _op_from_key(M: int, p: int, L: int, mask: tuple) -> RefinementOp:
-    return RefinementOp(M, p, L, {j: np.frombuffer(A).reshape(p, p) for j, A in mask})
+    return serial(start, *[_controller_step(M)] * n, _scalar_head(h))
 
 
 @lru_cache(maxsize=None)
-def _growth(M: int, p: int, L: int, mask: tuple) -> float:
-    """max(1, transition_norm) of the operator (M, p, L, mask), computed
-    once per operator."""
-    return max(1.0, transition_norm(_op_from_key(M, p, L, mask)))
+def _growth(op: RefinementOp) -> float:
+    """max(1, transition_norm) of the operator, computed once per operator."""
+    return max(1.0, transition_norm(op))
 
 
 def gadget_bound(op: RefinementOp, h: SpecialHat, n: int) -> float:
     """A bound a on |Phi_j| for j < n, as the gates Pi_a need."""
-    return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * _growth(*_op_key(op)) ** n
+    return GADGET_SAFETY * max(h.base.max_abs(), 1e-30) * _growth(op) ** n
 
 
 @lru_cache(maxsize=None)
-def _gate_half(M: int, p: int, L: int, mask: tuple, a: float) -> ReluNetwork:
+def _gate_half(op: RefinementOp, a: float) -> ReluNetwork:
     """The controller step beside a one-layer carry of (c, Phi) feeding the
     gates, Phi' = sum_q T_q' Pi_a(lambda_q, Phi), on (z, c, Phi): the part
-    of a gated stage that does not depend on n, built once per operator
-    (``_op_key``) and gate bound a.  lambda_q = 1 - ReLU(1 - 2 c_q) is
-    exactly 1 for c_q >= 1/2, so open gates are exact."""
-    op = _op_from_key(M, p, L, mask)
-    pL = p * L
+    of a gated stage that does not depend on n, built once per operator and
+    gate bound a.  lambda_q = 1 - ReLU(1 - 2 c_q) is exactly 1 for
+    c_q >= 1/2, so open gates are exact."""
+    M, pL = op.M, op.p * op.L
     B = pL * pL
     I = np.eye(M)
     sat = ReluNetwork(M, [Layer(-2 * I, np.ones(M), "relu"),
@@ -180,7 +166,7 @@ def atomic_core_net(op: RefinementOp, h: SpecialHat, n: int) -> ReluNetwork:
     head = stack_nets([passthrough(2, "nonneg", chi.depth), chi,
                        passthrough(B, "general", chi.depth)],
                       [[0, 1], [0, 1], list(range(2, 2 + B))], 2 + B)
-    stage = serial(head, _gate_half(*_op_key(op), gadget_bound(op, h, n)))
+    stage = serial(head, _gate_half(op, gadget_bound(op, h, n)))
     core = serial(start, *[stage] * n)
     Wsel = np.hstack([np.zeros((B, 2)), np.eye(B)])
     return post_affine(core, Wsel, np.zeros(B))
@@ -199,12 +185,10 @@ def atomic_unit_interval_net(op: RefinementOp, h: SpecialHat, mu: int,
 
 
 @lru_cache(maxsize=None)
-def _atomic_terms(L: int, comps: tuple) -> tuple:
-    """``decompose_atomic`` of the curve of support width L whose components
-    are ``comps`` as (bytes of ts, bytes of vs) pairs: run once per curve,
-    which every stage of a sweep and every job of a forcing repeats."""
-    return tuple(decompose_atomic(CpwlCurve(
-        tuple(ScalarCpwl(np.frombuffer(ts), np.frombuffer(vs)) for ts, vs in comps), L)))
+def _atomic_terms(curve: CpwlCurve) -> tuple:
+    """``decompose_atomic`` of the curve, run once per curve: every stage of
+    a sweep and every job of a forcing repeats it."""
+    return tuple(decompose_atomic(curve))
 
 
 def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
@@ -212,13 +196,11 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
     power 0 the cell is the curve's own lowering; a zero curve has none."""
     if n == 0:
         return ([lower_curve_1d(curve)] if curve.max_abs() > 0 else []), 0, 0
-    terms = _atomic_terms(curve.L, tuple((c.ts.tobytes(), c.vs.tobytes())
-                                         for c in curve.components))
+    terms = _atomic_terms(curve)
     p, L, pL = op.p, op.L, op.p * op.L
     groups = {}
     for t in terms:
-        hat_key = (tuple(t.hat.base.ts), tuple(t.hat.base.vs))
-        groups.setdefault((t.shift, hat_key), []).append(t)
+        groups.setdefault((t.shift, t.hat), []).append(t)
     scale = float(op.M) ** (-n)
     # Cell k's net runs on t - k unclamped: E's lowering is constant off
     # [0, 1], and E(0) = E(1) is the seam, where h vanishes, so the net is
@@ -229,18 +211,18 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
     # channels that cells read: no unit stays behind the other channels,
     # nor behind z, which no stage reads after the last digit.
     cores, cuts, cells = {}, {}, []
-    for (shift, hat_key), ts in groups.items():
-        if hat_key not in cores:
-            cores[hat_key] = cut_zeros(atomic_core_net(op, ts[0].hat, n))
+    for (shift, h), ts in groups.items():
+        if h not in cores:
+            cores[h] = cut_zeros(atomic_core_net(op, h, n))
         for k in range(L):
             Wk = np.zeros((p, pL * pL))
             for t in ts:
                 for r in range(p):
                     Wk[r, (k * p + r) * pL + t.direction] += t.coeff
             read = np.flatnonzero(Wk.any(axis=0))
-            key = (hat_key, read.tobytes())
+            key = (h, read.tobytes())
             if key not in cuts:
-                cuts[key] = cut_tail(cores[hat_key], read)
+                cuts[key] = cut_tail(cores[h], read)
             cells.append(serial(affine_net([[1.0]], [-scale * shift - k]), cuts[key],
                                 affine_net(Wk[:, read], np.zeros(p))))
     return cells, len(terms), len(groups)

@@ -4,6 +4,12 @@ Scalar functions are stored as breakpoint/value arrays with constant tails:
 the function is affine between consecutive breakpoints and constant outside
 the breakpoint hull, equal to the first/last value.  Compactly supported
 curves are the special case where both tails are zero.
+
+A function is a value: it equals, and hashes as, any function with the same
+bytes of breakpoints and values (so -0.0 != 0.0), and hats, curves and
+atomic terms compare through it.  Its arrays are read-only views of the
+caller's, not copies; ``np.interp`` copies a read-only array on every call,
+so a function with many breakpoints is best evaluated at all points at once.
 """
 from __future__ import annotations
 
@@ -18,6 +24,13 @@ RHO = 0.25  # special hats live inside [RHO, 1 - RHO]
 
 class SupportError(ValueError):
     """Raised when a curve violates a required support window."""
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writeable."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -38,8 +51,15 @@ class ScalarCpwl:
             raise ValueError("breakpoints and values must be nonempty and match")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "vs", vs)
+        object.__setattr__(self, "ts", read_only(ts))
+        object.__setattr__(self, "vs", read_only(vs))
+
+    def __eq__(self, other):
+        return (isinstance(other, ScalarCpwl) and self.ts.tobytes() == other.ts.tobytes()
+                and self.vs.tobytes() == other.vs.tobytes())
+
+    def __hash__(self):
+        return hash((self.ts.tobytes(), self.vs.tobytes()))
 
     @property
     def left_tail(self) -> float:

@@ -237,23 +237,15 @@ class ConnectorInstance:
         """B_n from the defect formula, exact on the grid k/M."""
         a_n, b_n = self.endpoints(n)
         a_n1, b_n1 = self.endpoints(n + 1)
-        M, ell, p = self.M, self.ell, self.p
+        M, p = self.M, self.p
         ts = np.linspace(0.0, 1.0, M + 1)
         gamma_n = straight_anchor(a_n, b_n)
         gamma_n1 = straight_anchor(a_n1, b_n1)
         vals = np.zeros((M + 1, p))
-        for i, t in enumerate(ts):
-            k = min(int(round(t * M)), M)  # t is exactly k/M
+        for k, t in enumerate(ts):
+            # M is odd: k = 2j starts copy j, k = 2j + 1 ends it at Q_j
             j, rem = divmod(k, 2)
-            if rem == 0 and j < ell:
-                s = 0.0 if k < M else 1.0
-                if k == M:
-                    j = ell - 1
-                    s = 1.0
-                vals[i] = self.A[j] @ gamma_n(np.array(s)) + self.u[j] - gamma_n1(t)
-            else:
-                # connector endpoint Q_j
-                vals[i] = self.A[j] @ gamma_n(np.array(1.0)) + self.u[j] - gamma_n1(t)
+            vals[k] = self.A[j] @ gamma_n(rem) + self.u[j] - gamma_n1(t)
         # straight anchors/connectors: B_n is affine between the grid points
         comps = tuple(ScalarCpwl(ts, vals[:, i]) for i in range(p))
         return CpwlCurve(comps, 1)
@@ -277,31 +269,26 @@ class ConnectorInstance:
         cur = self.anchor(0)
         M = self.M
         for _ in range(n):
-            grids = []
-            for j in range(self.ell):
-                grids.append((cur_grid(cur) + 2 * j) / M)
-            ts = merge_grids(np.linspace(0, 1, M + 1), *grids)
+            grid = merge_grids(*[c.ts for c in cur.components])
+            ts = merge_grids(np.linspace(0, 1, M + 1),
+                             *[(grid + 2 * j) / M for j in range(self.ell)])
+            k = ts * M
+            js = np.minimum(np.floor(k / 2 + 1e-12).astype(int), self.ell - 1)
+            # cur at every copy parameter, and at its two ends, in one call
+            # each: every call copies cur's read-only arrays (see cpwl)
+            at, (c0, c1) = cur(np.clip(k - 2 * js, 0.0, 1.0)), cur(np.array([0.0, 1.0]))
             vals = np.zeros((ts.size, self.p))
-            an, bn = None, None
-            for i, t in enumerate(ts):
-                k = t * M
-                j = int(np.floor(k / 2 + 1e-12))
-                j = min(j, self.ell - 1)
-                if k <= 2 * j + 1 + 1e-9:  # copy interval I_j
-                    s = np.clip(k - 2 * j, 0.0, 1.0)
-                    vals[i] = self.A[j] @ cur(np.array(s)) + self.u[j]
+            for i, j in enumerate(js):
+                if k[i] <= 2 * j + 1 + 1e-9:  # copy interval I_j
+                    vals[i] = self.A[j] @ at[i] + self.u[j]
                 else:  # connector J_j: straight from Q_j to P_{j+1}
-                    s = k - (2 * j + 1)
-                    Q = self.A[j] @ cur(np.array(1.0)) + self.u[j]
-                    P = self.A[j + 1] @ cur(np.array(0.0)) + self.u[j + 1]
+                    s = k[i] - (2 * j + 1)
+                    Q = self.A[j] @ c1 + self.u[j]
+                    P = self.A[j + 1] @ c0 + self.u[j + 1]
                     vals[i] = (1 - s) * Q + s * P
             cur = CpwlCurve(tuple(ScalarCpwl(ts, vals[:, i])
                                   for i in range(self.p)), 1)
         return cur
-
-
-def cur_grid(curve: CpwlCurve) -> np.ndarray:
-    return merge_grids(*[c.ts for c in curve.components])
 
 
 def hilbert_connector() -> ConnectorInstance:

@@ -6,6 +6,10 @@ The operator acts on p-component curves supported in [0, L]:
 
 with p x p mask matrices A_j.  Support is preserved iff every nonzero
 mask index satisfies 0 <= j <= (M - 1) * L.
+
+An operator is a value, as a ``cpwl`` function is: it equals, and hashes
+as, any operator with the same M, p, L and bytes of every A_j.  Each A_j
+is a read-only view of the caller's array, not a copy.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwl import CpwlCurve, ScalarCpwl, SupportError, merge_grids, zero_curve
+from .cpwl import CpwlCurve, ScalarCpwl, SupportError, merge_grids, read_only, zero_curve
 
 SNAP_TOL = 1e-12
 BREAKPOINT_CAP = 10_000_000
@@ -21,7 +25,7 @@ BREAKPOINT_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class RefinementOp:
-    """Dilation M, block size p, support width L and mask {j: A_j}."""
+    """Dilation M, block size p, support width L and mask {j: A_j} by j."""
 
     M: int
     p: int
@@ -34,7 +38,7 @@ class RefinementOp:
         if self.p < 1 or self.L < 1:
             raise ValueError("p and L must be positive")
         mask = {}
-        for j, A in self.mask.items():
+        for j, A in sorted(self.mask.items()):
             A = np.asarray(A, dtype=float)
             if A.shape != (self.p, self.p):
                 raise ValueError(f"mask A_{j} has shape {A.shape}, want {(self.p, self.p)}")
@@ -44,12 +48,17 @@ class RefinementOp:
                 raise SupportError(
                     f"mask index j={j} outside support-preserving range "
                     f"[0, {(self.M - 1) * self.L}]")
-            mask[int(j)] = A
+            mask[int(j)] = read_only(A)
         object.__setattr__(self, "mask", mask)
 
-    def mask_array(self):
-        js = sorted(self.mask)
-        return js, [self.mask[j] for j in js]
+    def _content(self) -> tuple:
+        return self.M, self.p, self.L, tuple((j, A.tobytes()) for j, A in self.mask.items())
+
+    def __eq__(self, other):
+        return isinstance(other, RefinementOp) and self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
 
 
 @dataclass(frozen=True)
@@ -137,15 +146,14 @@ def apply_v(op: RefinementOp, curve: CpwlCurve) -> CpwlCurve:
     """
     if curve.p != op.p:
         raise ValueError("curve dimension does not match operator")
-    js, mats = op.mask_array()
     in_grid = merge_grids(*[c.ts for c in curve.components])
-    if not js:
+    if not op.mask:
         return zero_curve(op.p, op.L)
-    grids = [(in_grid + j) / op.M for j in js]
+    grids = [(in_grid + j) / op.M for j in op.mask]
     ts = merge_grids(*grids)
     # between consecutive output breakpoints every gamma(M t - j) is affine
     vals = np.zeros((ts.size, op.p))
-    for j, A in zip(js, mats):
+    for j, A in op.mask.items():
         vals += curve(op.M * ts - j) @ A.T
     comps = tuple(ScalarCpwl(ts, vals[:, i]) for i in range(op.p))
     return CpwlCurve(comps, curve.L)

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from refinet.cpwl import CpwlCurve, ScalarCpwl, SpecialHat, SupportError, hat
 from unittest import mock
 
-from refinet import compiler, gallery, loop
+from refinet import compiler, gallery
 from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
@@ -56,11 +58,17 @@ def test_scalar_factor_net_tracks_residual():
         assert np.max(np.abs(out[:, 1:] - embed(xs))) < 1e-12
 
 
-def _clear_program_caches():
-    for m in (compiler, loop):
-        for f in vars(m).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
+def clear_caches():
+    """Empty every functools cache of every ``refinet`` module, through any
+    wrappers, as the benchmark's ``clear_caches`` does: the next compile
+    starts cold."""
+    for name, m in list(sys.modules.items()):
+        if m is not None and name.split(".")[0] == "refinet":
+            for val in list(vars(m).values()):
+                while not hasattr(val, "cache_clear") and hasattr(val, "__wrapped__"):
+                    val = val.__wrapped__
+                if hasattr(val, "cache_clear"):
+                    val.cache_clear()
 
 
 def _net_bytes(net):
@@ -78,7 +86,7 @@ def test_loop_assets_lower_shared_fields_once():
         return wrapped
 
     op, gam = scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
-    _clear_program_caches()
+    clear_caches()
     try:
         with mock.patch.multiple(
                 compiler, build_controller_field=counting("F", build_controller_field),
@@ -87,7 +95,7 @@ def test_loop_assets_lower_shared_fields_once():
                 compile_homogeneous(op, gam, n)
             sweep = [loop_assets(M, n) for n in range(1, 17)]
     finally:
-        _clear_program_caches()
+        clear_caches()
     assert calls == {"F": 1, "chi": 16}
     # the shared selectors are the ones a direct lowering gives
     for n, chi in enumerate(sweep, start=1):
@@ -100,15 +108,15 @@ def test_gate_half_built_once_per_sweep():
     # T and a do not depend on n, since lambda = 1), and a sweep's nets
     # equal the ones compiled from cold caches: nothing leaks across n
     op, gam = scalar_op(), CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
-    _clear_program_caches()
+    clear_caches()
     try:
         sweep = [compile_homogeneous(op, gam, n).net for n in range(1, 7)]
         assert compiler._gate_half.cache_info().misses == 1
         for n, net in enumerate(sweep, start=1):
-            _clear_program_caches()
+            clear_caches()
             assert _net_bytes(net) == _net_bytes(compile_homogeneous(op, gam, n).net), n
     finally:
-        _clear_program_caches()
+        clear_caches()
 
 
 def _sweep():
@@ -128,7 +136,7 @@ def test_compiles_decompose_each_curve_once(build, curves):
     # powers 1..n-1 share the defect E (beside the zero curve of power n):
     # each curve is decomposed once, and every net equals the one that a
     # compile from cold caches gives
-    _clear_program_caches()
+    clear_caches()
     try:
         compiles = build()
         with mock.patch.object(compiler, "decompose_atomic",
@@ -137,10 +145,33 @@ def test_compiles_decompose_each_curve_once(build, curves):
         assert dec.call_count == curves
         assert compiler._growth.cache_info().misses == 1
         for f, net in zip(compiles, nets):
-            _clear_program_caches()
+            clear_caches()
             assert _net_bytes(net) == _net_bytes(f())
     finally:
-        _clear_program_caches()
+        clear_caches()
+
+
+def test_caches_key_on_operator_and_curve_content():
+    # separately built, equal operators and curves share one gate half and
+    # one decomposition; an operator that differs only in L, or only in one
+    # A_j (with the same gate bound), builds a gate half of its own
+    def compile_(L=1, a1=1.0):
+        op = RefinementOp(2, 1, L, {0: [[1.0]], 1: [[a1]]})
+        compile_homogeneous(op, CpwlCurve((hat(0.25, 0.5, 0.75),), L), 1)
+
+    clear_caches()
+    try:
+        with mock.patch.object(compiler, "decompose_atomic",
+                               wraps=compiler.decompose_atomic) as dec:
+            compile_()
+            compile_()
+        assert dec.call_count == 1
+        assert compiler._gate_half.cache_info().misses == 1
+        compile_(L=2)
+        compile_(a1=0.5)
+        assert compiler._gate_half.cache_info().misses == 3
+    finally:
+        clear_caches()
 
 
 def test_atomic_unit_interval_net():

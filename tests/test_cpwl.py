@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refinet.cpwl import (CpwlCurve, ScalarCpwl, SpecialHat,
+from refinet.cpwl import (AtomicTerm, CpwlCurve, ScalarCpwl, SpecialHat,
                           SupportError, constant, cpwl_combine,
                           decompose_atomic, hat, merge_grids,
                           reconstruct_atomic, zero_curve)
@@ -107,3 +107,34 @@ def test_atomic_hats_are_special():
 
 def test_atomic_zero_curve_has_no_terms():
     assert decompose_atomic(zero_curve(1, 1)) == []
+
+
+def test_values_compare_by_content():
+    # functions, hats, curves and atomic terms built apart from equal data
+    # are equal and hash alike; one breakpoint, one value or L tells them
+    # apart, and so does the sign of a zero, since equality is by bytes
+    def values(mid=0.5, height=1.0, L=1):
+        f = hat(0.25, mid, 0.75, height)
+        h = SpecialHat(f)
+        return f, h, CpwlCurve((f, f.scale(-1.0)), L), AtomicTerm(0.5, 0.25, h, 1)
+
+    for a, b in zip(values(), values()):
+        assert a is not b and a == b and hash(a) == hash(b) and a in {b}
+    for other in [values(mid=0.4), values(height=0.5)]:
+        assert all(a != b for a, b in zip(values(), other))
+    assert values()[2] != values(L=2)[2]
+    assert constant(0.0) == constant(0.0) != constant(-0.0)
+
+
+def test_arrays_are_read_only_views():
+    # a function holds the caller's arrays as read-only views: no copy,
+    # and the caller's own arrays stay writeable
+    ts, vs = np.array([0.25, 0.5, 0.75]), np.array([0.0, 1.0, 0.0])
+    curve = CpwlCurve((ScalarCpwl(ts, vs),), 1)
+    f = curve.components[0]
+    with pytest.raises(ValueError):
+        f.ts[1] = 0.4
+    with pytest.raises(ValueError):
+        f.vs[1] = 2.0
+    assert ts.flags.writeable and vs.flags.writeable
+    assert np.shares_memory(f.ts, ts) and np.shares_memory(f.vs, vs)

@@ -14,6 +14,7 @@ from refinet.loop import (LoopConfig, _embed_exact, _selector_knots,
 from refinet.network import eval_exact
 from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
+from test_compiler import clear_caches
 from test_network import unread_units
 from test_planar import assert_exact_fan
 
@@ -89,20 +90,20 @@ def test_lowered_controller_exact_for_every_m():
 @pytest.fixture(scope="module")
 def gallery_hats():
     """Every special hat that the gallery's compiles read, at stage 2."""
-    hats = {}
+    hats = set()
 
     def record(curve):
         terms = decompose_atomic(curve)
-        hats.update(((tuple(t.hat.base.ts), tuple(t.hat.base.vs)), t.hat) for t in terms)
+        hats.update(t.hat for t in terms)
         return terms
 
-    compiler._atomic_terms.cache_clear()    # decompose every curve anew
+    clear_caches()    # decompose every curve anew
     with mock.patch.object(compiler, "decompose_atomic", record):
         for name in gallery.NAMED_INSTANCES:
             kind, op, src = cli._source(argparse.Namespace(spec=None, example=name))
             for compile_, _ in cli.MODES[kind].values():
                 compile_(op, src, 2)
-    return list(hats.values())
+    return hats
 
 
 def test_loop_lowerings_emit_no_unread_unit(gallery_hats):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
+from refinet.gallery import koch
 from refinet.refinement import (RefinementOp, apply_v, apply_v_n,
                                 block_transition, cascade_eval, digit_residual,
                                 residual_iterate, transition_norm, vectorize)
@@ -138,3 +139,26 @@ def test_transition_norm_positive():
     lam = transition_norm(op)
     assert lam > 0
     assert lam >= np.max(np.abs(block_transition(op, 0).T).sum(axis=1)) - 1e-12
+
+
+def test_operators_compare_by_content():
+    # koch's operator (p = 2) built twice is one value, whatever the order
+    # of its mask; M, L or one mask entry tells operators apart
+    a, b = koch().op(), koch().op()
+    assert a is not b and a == b and hash(a) == hash(b) and a in {b}
+    assert RefinementOp(4, 2, 1, dict(reversed(a.mask.items()))) == a
+    assert koch().anchor() in [koch().anchor()]
+    A1 = a.mask[1].copy()
+    A1[0, 1] += 1e-3
+    for other in [RefinementOp(5, 2, 1, a.mask), RefinementOp(4, 2, 2, a.mask),
+                  RefinementOp(4, 2, 1, {**a.mask, 1: A1})]:
+        assert other != a
+
+
+def test_mask_holds_read_only_views():
+    inst = koch()
+    op = inst.op()
+    with pytest.raises(ValueError):
+        op.mask[0][0, 0] = 1.0
+    assert inst.matrices[0].flags.writeable
+    assert np.shares_memory(op.mask[0], inst.matrices[0])

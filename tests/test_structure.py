@@ -25,7 +25,7 @@ from refinet.cpwl import CpwlCurve, hat
 from refinet.network import Layer, load_network, net_stats, save_network
 from refinet.reductions import compile_anchored
 from refinet.refinement import RefinementOp
-from test_compiler import core_builds
+from test_compiler import clear_caches, core_builds
 from test_network import _layer_bytes, _reference
 
 
@@ -135,9 +135,7 @@ def stacked_rows(build):
         rows.append(sum(l.weights.shape[0] for l in net.layers))
         return net
 
-    for val in vars(compiler).values():
-        if hasattr(val, "cache_clear"):
-            val.cache_clear()
+    clear_caches()
     with mock.patch.object(compiler, "stack_nets", stack):
         build()
     return sum(rows)
