@@ -267,7 +267,7 @@ class ConnectorInstance:
         """Stage-n geometric curve by direct copy/connector recursion."""
         check_breakpoint_cap(2, self.ell, n)
         cur = self.anchor(0)
-        M = self.M
+        M, A, u = self.M, np.stack(self.A), np.stack(self.u)
         for _ in range(n):
             grid = merge_grids(*[c.ts for c in cur.components])
             ts = merge_grids(np.linspace(0, 1, M + 1),
@@ -277,15 +277,13 @@ class ConnectorInstance:
             # cur at every copy parameter, and at its two ends, in one call
             # each: every call copies cur's read-only arrays (see cpwl)
             at, (c0, c1) = cur(np.clip(k - 2 * js, 0.0, 1.0)), cur(np.array([0.0, 1.0]))
-            vals = np.zeros((ts.size, self.p))
-            for i, j in enumerate(js):
-                if k[i] <= 2 * j + 1 + 1e-9:  # copy interval I_j
-                    vals[i] = self.A[j] @ at[i] + self.u[j]
-                else:  # connector J_j: straight from Q_j to P_{j+1}
-                    s = k[i] - (2 * j + 1)
-                    Q = self.A[j] @ c1 + self.u[j]
-                    P = self.A[j + 1] @ c0 + self.u[j + 1]
-                    vals[i] = (1 - s) * Q + s * P
+            copy = (A[js] @ at[..., None])[..., 0] + u[js]   # copy interval I_j
+            # connector J_j: straight from Q_j to P_{j+1} (the last copy
+            # interval ends at k = M, so no connector reads P_ell)
+            Q, P = A @ c1 + u, A @ c0 + u
+            s = (k - (2 * js + 1))[:, None]
+            conn = (1 - s) * Q[js] + s * P[np.minimum(js + 1, self.ell - 1)]
+            vals = np.where((k <= 2 * js + 1 + 1e-9)[:, None], copy, conn)
             cur = CpwlCurve(tuple(ScalarCpwl(ts, vals[:, i])
                                   for i in range(self.p)), 1)
         return cur

@@ -48,8 +48,8 @@ def compile_affine(op: RefinementOp, gamma: CpwlCurve, forcing,
     """Compile the stage-dependent iterate W_{n-1}..W_0 gamma, where
     ``forcing(r)`` is the curve B_r."""
     jobs = expand_stage_iterate(gamma, forcing, n)
-    net, _ = compile_jobs(op, jobs)
-    return CompiledIterate(net, n, "affine", {"jobs": len(jobs)})
+    net, info = compile_jobs(op, jobs)
+    return CompiledIterate(net, n, "affine", {"jobs": len(jobs), **info})
 
 
 def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve):

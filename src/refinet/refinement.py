@@ -75,43 +75,25 @@ class DigitStream:
     residuals: tuple
 
 
-def digit_residual(x: float, M: int):
-    """One step of the M-ary digit map with the right-closed convention.
-
-    Returns (q, r) with q = floor(M x) and r = M x - q for x in [0, 1),
-    except that values of M x within 1e-12 of an integer are snapped to it
-    (right-cell digit), x in [-1e-12, 0) is snapped to 0, and x = 1 maps
-    to (M - 1, 1).
-    """
-    if x < -SNAP_TOL or x > 1 + SNAP_TOL:
-        raise ValueError(f"digit map argument {x} outside [0, 1]")
-    x = max(x, 0.0)
-    if x >= 1 - SNAP_TOL / M:
-        return M - 1, 1.0
-    y = M * x
-    k = round(y)
-    if abs(y - k) < SNAP_TOL:
-        return int(k), 0.0
-    q = int(np.floor(y))
-    return q, y - q
-
-
 def residual_iterate(x: float, M: int, n: int) -> DigitStream:
-    """The first n digits and residuals of the exact orbit of x.
+    """The first n digits and residuals of the exact orbit of x: the one
+    statement of the M-ary digit map, which ``digit_residual`` and
+    ``cascade_eval`` read.
 
-    x is read as the exact rational value of its float64 and iterated in
-    integer arithmetic over its power-of-two denominator, with the snap and
-    endpoint conventions of ``digit_residual`` applied to each exact
-    residual.  Every residual is rounded to float64 once; feeding rounded
-    residuals back into ``digit_residual`` would instead multiply the
-    rounding error by M at every step.
+    A step maps r to q = floor(M r) and M r - q, snapping M r within 1e-12
+    of an integer to it (right-cell digit) and r >= 1 - 1e-12 / M to
+    (M - 1, 1); x may lie 1e-12 outside [0, 1], and a negative x reads as
+    0.  x is read as the exact rational value of its float64 and iterated
+    in integers over its power-of-two denominator, so each residual is
+    rounded to float64 once: rounded residuals fed back into the map would
+    gain a factor M of error per step.
     """
     x = float(x)
     if x < -SNAP_TOL or x > 1 + SNAP_TOL:
         raise ValueError(f"digit map argument {x} outside [0, 1]")
     x = max(x, 0.0)
     num, den = x.as_integer_ratio()       # the residual is num / den
-    # the float thresholds of digit_residual as exact bounds on integers:
+    # the thresholds as exact bounds on integers:
     # num >= top  <=>  residual >= 1 - SNAP_TOL / M,
     # d < snap    <=>  d / den < SNAP_TOL
     top = _ceil_times(1 - SNAP_TOL / M, den)
@@ -130,6 +112,12 @@ def residual_iterate(x: float, M: int, n: int) -> DigitStream:
         digits.append(q)
         res.append(num / den)
     return DigitStream(x, M, tuple(digits), tuple(res))
+
+
+def digit_residual(x: float, M: int):
+    """One step (q, r) of the digit map of ``residual_iterate``."""
+    stream = residual_iterate(x, M, 1)
+    return stream.digits[0], stream.residuals[1]
 
 
 def _ceil_times(a: float, den: int) -> int:
@@ -198,35 +186,46 @@ def vectorize(curve: CpwlCurve):
     return G
 
 
-def block_transition(op: RefinementOp, q: int) -> np.ndarray:
-    """The p*L x p*L digit-indexed transition block T_q.
+def block_transitions(op: RefinementOp) -> np.ndarray:
+    """The digit-indexed p*L x p*L transition blocks T_0..T_{M-1}, stacked.
 
-    Block (k, l), 1-based, is A_{q + M(k-1) - (l-1)} when present, else 0.
+    Block (k, l) of T_q, 1-based, is A_{q + M(k-1) - (l-1)} when present,
+    else 0.
     """
+    p, L, M = op.p, op.L, op.M
+    T = np.zeros((M, L, p, L, p))
+    for j, A in op.mask.items():
+        for k in range(L):
+            for l in range(L):
+                if 0 <= j - M * k + l < M:
+                    T[j - M * k + l, k, :, l] = A
+    return T.reshape(M, p * L, p * L)
+
+
+def block_transition(op: RefinementOp, q: int) -> np.ndarray:
+    """The transition block T_q of digit q (see ``block_transitions``)."""
     if not 0 <= q < op.M:
         raise ValueError(f"digit {q} outside 0..{op.M - 1}")
-    p, L, M = op.p, op.L, op.M
-    T = np.zeros((p * L, p * L))
-    for k in range(L):
-        for l in range(L):
-            j = q + M * k - l
-            A = op.mask.get(j)
-            if A is not None:
-                T[k * p:(k + 1) * p, l * p:(l + 1) * p] = A
-    return T
+    return block_transitions(op)[q]
 
 
-def cascade_eval(op: RefinementOp, curve: CpwlCurve, x: float, n: int) -> np.ndarray:
-    """G_n(x) via the digit-driven matrix cascade (no curve refinement)."""
-    stream = residual_iterate(x, op.M, n)
-    G = vectorize(curve)
-    v = G(stream.residuals[-1])
-    for q in reversed(stream.digits):
-        v = block_transition(op, q) @ v
-    return v
+def cascade_eval(op: RefinementOp, curve: CpwlCurve, x, n: int) -> np.ndarray:
+    """G_n(x) via the digit-driven matrix cascade (no curve refinement), of
+    shape x.shape + (p*L,) for a point or an array of points x.
+
+    Each point's orbit is ``residual_iterate``'s; G is evaluated once at
+    all last residuals, and each digit, from the last, is one batched
+    matrix-vector product over the points."""
+    x = np.asarray(x, dtype=float)
+    streams = [residual_iterate(t, op.M, n) for t in x.ravel().tolist()]
+    digits = np.array([s.digits for s in streams], dtype=np.intp).reshape(len(streams), n)
+    v = vectorize(curve)(np.array([s.residuals[-1] for s in streams]))[..., None]
+    T = block_transitions(op)
+    for j in reversed(range(n)):
+        v = T[digits[:, j]] @ v
+    return v.reshape(*x.shape, -1)
 
 
 def transition_norm(op: RefinementOp) -> float:
     """max_q of the infinity norm of T_q transposed (cascade growth rate)."""
-    return max(np.linalg.norm(block_transition(op, q).T, np.inf)
-               for q in range(op.M))
+    return max(np.linalg.norm(T.T, np.inf) for T in block_transitions(op))

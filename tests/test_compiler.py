@@ -7,7 +7,7 @@ from refinet.cpwl import CpwlCurve, ScalarCpwl, SpecialHat, SupportError, hat
 from unittest import mock
 
 from refinet import compiler, gallery
-from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous,
+from refinet.compiler import (atomic_unit_interval_net, compile_homogeneous, gadget_bound,
                               loop_assets, product_gadget, scalar_factor_net)
 from refinet.loop import (LoopConfig, build_controller_field, embed,
                           selector_field)
@@ -248,6 +248,15 @@ def test_negative_stage_is_refused():
         apply_v_n(op, gam, -1)
 
 
+def test_gadget_bound_is_safety_times_height_times_growth_power():
+    # a = GADGET_SAFETY * max|h| * lambda^n with lambda = max_q |T_q'|_inf =
+    # 1.5 here: 2 * 0.5 * 1.5^3, exactly in binary
+    op = RefinementOp(2, 1, 1, {0: [[1.5]], 1: [[0.5]]})
+    h = SpecialHat(hat(0.25, 0.5, 0.75, height=0.5))
+    assert compiler.GADGET_SAFETY == 2.0
+    assert gadget_bound(op, h, 3) == 3.375
+
+
 def test_deep_stage_drift_stays_small():
     """The saturating carry keeps the selectors' rounding out of the open
     gates: at M=3, n=14 (coeff_max 7.7e7) the float64 net stays within
@@ -256,7 +265,7 @@ def test_deep_stage_drift_stays_small():
     gam = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
     ci = compile_homogeneous(op, gam, 14)
     xs = np.random.default_rng(0).uniform(0, 1, 300)
-    want = np.array([cascade_eval(op, gam, x, 14)[0] for x in xs])
+    want = cascade_eval(op, gam, xs, 14)[:, 0]
     assert np.max(np.abs(ci(xs)[:, 0] - want)) < 1e-9
 
 

@@ -78,6 +78,20 @@ def test_affine_single_job_is_homogeneous():
         assert layer_bytes(ci.net) == layer_bytes(compile_homogeneous(op, gam, n).net)
 
 
+def test_anchored_compile_reports_its_atoms():
+    # koch anchored at n = 3: jobs (0, 3), (E, 2), (E, 1) and (E + Gamma, 0);
+    # the atoms are those of E's homogeneous compiles at powers 2 and 1 (a
+    # power-0 job is its curve's own lowering, and the zero curve has none)
+    inst = koch()
+    op, n = inst.op(), 3
+    E, _ = anchor_mismatch(op, None, inst.anchor())
+    ci = compile_anchored(op, None, inst.anchor(), None, n)
+    homs = [compile_homogeneous(op, E, k).info for k in (1, 2)]
+    assert ci.info == {"jobs": n + 1, "terms": sum(h["terms"] for h in homs),
+                       "groups": sum(h["groups"] for h in homs)}
+    assert ci.info["terms"] == 6
+
+
 def test_anchor_mismatch_compact():
     inst = koch()
     E, compact = anchor_mismatch(inst.op(), None, inst.anchor())

@@ -8,6 +8,7 @@ from refinet.gallery import koch
 from refinet.refinement import (RefinementOp, apply_v, apply_v_n,
                                 block_transition, cascade_eval, digit_residual,
                                 residual_iterate, transition_norm, vectorize)
+import test_random_operators as random_ops
 
 
 def random_op(M, p, L, seed):
@@ -47,8 +48,8 @@ def test_residual_iterate_expansion_identity():
 
 
 def test_residual_iterate_is_exact_orbit_rounded_once():
-    # feeding each rounded residual back into digit_residual multiplies its
-    # error by M per step; the stream must not inherit that drift
+    # feeding each rounded residual back into a float64 digit map multiplies
+    # its error by M per step; the stream must not inherit that drift
     rng = np.random.default_rng(5)
     M, n = 7, 12
     drifted = 0
@@ -64,7 +65,7 @@ def test_residual_iterate_is_exact_orbit_rounded_once():
         assert list(st.residuals[1:]) == exact
         chained = float(x)
         for _ in range(n):
-            chained = digit_residual(chained, M)[1]
+            chained = M * chained - np.floor(M * chained)
         drifted += abs(chained - exact[-1]) > 1e-9
     assert drifted > 25
 
@@ -77,6 +78,32 @@ def test_negative_within_snap_tolerance_is_zero():
     op = RefinementOp(2, 1, 1, {0: [[1.0]], 1: [[1.0]]})
     curve = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
     assert np.array_equal(cascade_eval(op, curve, x, 4), [0.0])
+
+
+@pytest.mark.parametrize("M", [2, 3, 7])
+def test_digit_map_domain_ends(M):
+    # the right-closed convention: 1 and values within SNAP_TOL of it (either
+    # side) take digit M - 1 and residual 1 at every step; values within
+    # SNAP_TOL below 0 read as 0; farther out the map refuses
+    op = RefinementOp(M, 1, 2, {j: [[0.5 + 0.1 * j]] for j in range(2 * M - 1)})
+    curve = CpwlCurve((hat(0.5, 1.0, 1.5),), 2)
+    top = cascade_eval(op, curve, 1.0, 3)
+    for x in [1.0, 1 - 1e-13, 1 + 1e-13]:
+        stream = residual_iterate(x, M, 3)
+        assert stream.digits == (M - 1,) * 3 and stream.residuals[1:] == (1.0,) * 3
+        assert digit_residual(x, M) == (M - 1, 1.0)
+        assert np.array_equal(cascade_eval(op, curve, x, 3), top)
+    assert residual_iterate(-1e-13, M, 3) == residual_iterate(0.0, M, 3)
+    assert digit_residual(-1e-13, M) == (0, 0.0)
+    assert np.array_equal(cascade_eval(op, curve, -1e-13, 3), cascade_eval(op, curve, 0.0, 3))
+    want = vectorize(apply_v_n(op, curve, 3))(1.0)
+    assert want[0] != 0 and np.max(np.abs(top - want)) < 1e-12 * abs(want[0])
+    for x in [1 + 2e-12, -2e-12]:
+        for call in [lambda: residual_iterate(x, M, 3), lambda: digit_residual(x, M),
+                     lambda: cascade_eval(op, curve, x, 3),
+                     lambda: cascade_eval(op, curve, np.array([0.5, x]), 3)]:
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_mask_support_validation():
@@ -124,14 +151,45 @@ def test_cascade_identity_random():
     for (M, p, L, seed) in [(2, 1, 1, 11), (2, 2, 2, 12), (3, 2, 1, 13)]:
         op = random_op(M, p, L, seed)
         g = random_curve(p, L, seed + 20)
-        for _ in range(20):
-            x = rng.uniform(0, 1)
-            n = rng.integers(1, 5)
-            got = cascade_eval(op, g, x, n)
-            Gn = vectorize(apply_v_n(op, g, n))
-            want = Gn(x)
+        for n in range(1, 5):
+            xs = rng.uniform(0, 1, 20)
+            got = cascade_eval(op, g, xs, n)
+            want = vectorize(apply_v_n(op, g, n))(xs)
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) / scale < 1e-9
+
+
+@pytest.mark.parametrize("M, p, L", [(2, 1, 2), (3, 2, 1), (2, 2, 2), (3, 2, 2), (4, 1, 2),
+                                     (5, 3, 1)])
+def test_cascade_array_matches_direct_recursion(M, p, L):
+    # 10^4 seeded points per operator in one call, against the windows of
+    # the direct recursion, to the random-operator tests' tolerance
+    n = 3
+    rng = np.random.default_rng([M, p, L, n])
+    op, g = random_ops.random_op(rng, M, p, L), random_ops.random_curve(rng, p, L)
+    xs = rng.uniform(0, 1, 10_000)
+    got = cascade_eval(op, g, xs, n)
+    want = vectorize(apply_v_n(op, g, n))(xs)
+    assert got.shape == (xs.size, p * L)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= random_ops.REL_TOL * scale
+
+
+def test_cascade_array_equals_point_calls():
+    # one call over an array is the one-point calls stacked, bit for bit,
+    # at the domain ends and the smallest residuals too; a point gives the
+    # window of shape (p*L,), an array of shape s gives s + (p*L,)
+    rng = np.random.default_rng(15)
+    xs = np.concatenate([[0.0, 1.0, 1 - 1e-13, 1 + 1e-13, -1e-13, 1e-300],
+                         rng.uniform(0, 1, 30)])
+    for (M, p, L, seed) in [(2, 1, 1, 16), (3, 2, 2, 17), (5, 3, 2, 18)]:
+        op, g = random_op(M, p, L, seed), random_curve(p, L, seed + 20)
+        for n in [0, 1, 6]:
+            got = cascade_eval(op, g, xs.reshape(6, 6), n)
+            assert got.shape == (6, 6, p * L)
+            want = np.array([cascade_eval(op, g, x, n) for x in xs])
+            assert want.shape == (xs.size, p * L)
+            assert np.array_equal(got.reshape(want.shape), want)
 
 
 def test_transition_norm_positive():
