@@ -8,8 +8,7 @@ curves are the special case where both tails are zero.
 A function is a value: it equals, and hashes as, any function with the same
 bytes of breakpoints and values (so -0.0 != 0.0), and hats, curves and
 atomic terms compare through it.  Its arrays are read-only views of the
-caller's, not copies; ``np.interp`` copies a read-only array on every call,
-so a function with many breakpoints is best evaluated at all points at once.
+caller's, not copies, and evaluation reads the caller's arrays themselves.
 """
 from __future__ import annotations
 
@@ -53,6 +52,9 @@ class ScalarCpwl:
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "ts", read_only(ts))
         object.__setattr__(self, "vs", read_only(vs))
+        # np.interp copies a read-only array on every call; these are
+        # writeable whenever the caller's arrays are
+        object.__setattr__(self, "_interp", (ts, vs))
 
     def __eq__(self, other):
         return (isinstance(other, ScalarCpwl) and self.ts.tobytes() == other.ts.tobytes()
@@ -70,7 +72,7 @@ class ScalarCpwl:
         return float(self.vs[-1])
 
     def __call__(self, t):
-        return np.interp(t, self.ts, self.vs)
+        return np.interp(t, *self._interp)
 
     def slopes(self) -> np.ndarray:
         """Slope on each interior interval (empty for a single breakpoint)."""
@@ -85,8 +87,8 @@ class ScalarCpwl:
         return float(np.max(np.abs(self.vs)))
 
 
-def constant(c: float, t0: float = 0.0) -> ScalarCpwl:
-    return ScalarCpwl(np.array([t0]), np.array([float(c)]))
+def constant(c: float) -> ScalarCpwl:
+    return ScalarCpwl(np.array([0.0]), np.array([float(c)]))
 
 
 def hat(left: float, mid: float, right: float, height: float = 1.0) -> ScalarCpwl:

@@ -97,46 +97,38 @@ def hilbert_type() -> PolygonalInstance:
     return replace(hilbert_rp(2), name="hilbert_type")
 
 
+def _signed_lift(U: np.ndarray, s: float) -> np.ndarray:
+    """[[0, s, 0], [s u, 0, V]] for U = [u, V]: the copy map of the lifted
+    chain's first half (s = 1) and its reversed second half (s = -1)."""
+    dim = U.shape[0] + 1
+    W = np.zeros((dim, dim))
+    W[0, 1] = s
+    W[1:, 0] = s * U[:, 0]
+    W[1:, 2:] = U[:, 1:]
+    return W
+
+
 def hilbert_rp(p: int) -> PolygonalInstance:
-    """Recursive signed-permutation Hilbert prototype in R^p (M = 2^p)."""
+    """Recursive signed-permutation Hilbert prototype in R^p (M = 2^p).
+
+    Each dimension runs the previous chain, less its end P, at x_0 = 0,
+    crosses to x_0 = 1 through (1/2, P) and runs it back at x_0 = 1; the
+    copies on either side are signed lifts, and the two middle copies are
+    diag(1, U) for the previous last copy U."""
     if p < 1:
         raise ValueError("p must be >= 1")
     chain = np.array([[0.0], [0.5], [1.0]])
     mats = [np.array([[1.0]]), np.array([[1.0]])]
     for dim in range(2, p + 1):
         n = len(mats)  # 2^(dim-1)
-        new_chain = np.zeros((2 * n + 1, dim))
-        for j in range(2 * n + 1):
-            if j <= n - 1:
-                new_chain[j] = np.concatenate([[0.0], chain[j]])
-            elif j == n:
-                new_chain[j] = np.concatenate([[0.5], chain[n - 1]])
-            else:
-                new_chain[j] = np.concatenate([[1.0], chain[2 * n - j]])
-        new_mats = []
-        for j in range(2 * n):
-            if j <= n - 2:
-                U = mats[j]
-                u = U[:, :1]
-                Uh = U[:, 1:]
-                top = np.concatenate([[0.0, 1.0], np.zeros(dim - 2)])
-                bot = np.hstack([u, np.zeros((dim - 1, 1)), Uh])
-                new_mats.append(np.vstack([top[None, :], bot]))
-            elif j in (n - 1, n):
-                U = mats[n - 1]
-                W = np.zeros((dim, dim))
-                W[0, 0] = 1.0
-                W[1:, 1:] = U
-                new_mats.append(W)
-            else:
-                U = mats[2 * n - 1 - j]
-                u = U[:, :1]
-                Uh = U[:, 1:]
-                top = np.concatenate([[0.0, -1.0], np.zeros(dim - 2)])
-                bot = np.hstack([-u, np.zeros((dim - 1, 1)), Uh])
-                new_mats.append(np.vstack([top[None, :], bot]))
-        chain = new_chain
-        mats = new_mats
+        chain = np.vstack([np.hstack([np.zeros((n, 1)), chain[:n]]),
+                           [[0.5, *chain[n - 1]]],
+                           np.hstack([np.ones((n, 1)), chain[n - 1::-1]])])
+        mid = np.zeros((dim, dim))
+        mid[0, 0] = 1.0
+        mid[1:, 1:] = mats[n - 1]
+        mats = ([_signed_lift(U, 1.0) for U in mats[:n - 1]] + [mid, mid]
+                + [_signed_lift(U, -1.0) for U in mats[n - 2::-1]])
     inst = PolygonalInstance(f"hilbert_rp{p}", chain,
                              tuple(0.5 * U for U in mats))
     inst.check_edges()
@@ -235,12 +227,9 @@ class ConnectorInstance:
 
     def forcing_stage(self, n: int) -> CpwlCurve:
         """B_n from the defect formula, exact on the grid k/M."""
-        a_n, b_n = self.endpoints(n)
-        a_n1, b_n1 = self.endpoints(n + 1)
         M, p = self.M, self.p
         ts = np.linspace(0.0, 1.0, M + 1)
-        gamma_n = straight_anchor(a_n, b_n)
-        gamma_n1 = straight_anchor(a_n1, b_n1)
+        gamma_n, gamma_n1 = self.anchor(n), self.anchor(n + 1)
         vals = np.zeros((M + 1, p))
         for k, t in enumerate(ts):
             # M is odd: k = 2j starts copy j, k = 2j + 1 ends it at Q_j
@@ -274,8 +263,7 @@ class ConnectorInstance:
                              *[(grid + 2 * j) / M for j in range(self.ell)])
             k = ts * M
             js = np.minimum(np.floor(k / 2 + 1e-12).astype(int), self.ell - 1)
-            # cur at every copy parameter, and at its two ends, in one call
-            # each: every call copies cur's read-only arrays (see cpwl)
+            # cur at every copy parameter, and at its two ends
             at, (c0, c1) = cur(np.clip(k - 2 * js, 0.0, 1.0)), cur(np.array([0.0, 1.0]))
             copy = (A[js] @ at[..., None])[..., 0] + u[js]   # copy interval I_j
             # connector J_j: straight from Q_j to P_{j+1} (the last copy

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,16 +37,25 @@ class LoopConfig:
     @property
     def delta_n(self) -> float:
         """Transition half-width DELTA_BAR * RHO * M^-(n+1)."""
-        return float(_delta_n_exact(self))
+        a, b = _delta_n_ratio(self)
+        return a / b
 
 
-def _delta_n_exact(cfg: LoopConfig) -> Fraction:
-    return Fraction(DELTA_BAR) * Fraction(RHO) / cfg.M ** (cfg.n + 1)
+def _delta_n_ratio(cfg: LoopConfig) -> tuple:
+    """delta_n as the integers (a, b) with delta_n = a / b."""
+    a, b = (DELTA_BAR * RHO).as_integer_ratio()
+    return a, b * cfg.M ** (cfg.n + 1)
+
+
+def _E(i: int, Q: int) -> tuple:
+    """Q E(i / Q) for integers 0 <= i <= Q: the walk a0 -> a1 -> a2 -> a0
+    around the triangle at constant speed 3, in integers."""
+    s = 3 * i
+    return (s, s) if s <= Q else (Q, 2 * Q - s) if s <= 2 * Q else (3 * Q - s, 0)
 
 
 def embed(t):
-    """E(t): constant-speed-3 walk a0 -> a1 -> a2 -> a0 around the triangle,
-    in float64.
+    """E(t) in float64 (``_E`` states E in integers).
 
     3t, 2 - 3t and 3 - 3t need up to 55 bits, so E(t) is rounded, and the
     controller amplifies that rounding M-fold per step; ``_embed_exact``
@@ -59,20 +67,14 @@ def embed(t):
 
 
 def _embed_exact(t: Fraction) -> tuple:
-    """E(t) for a rational t in [0, 1)."""
-    s = 3 * t
-    if s <= 1:
-        return s, s
-    if s <= 2:
-        return Fraction(1), 2 - s
-    return 3 - s, Fraction(0)
+    """E(t) for a rational t in [0, 1]."""
+    return tuple(Fraction(c, t.denominator) for c in _E(t.numerator, t.denominator))
 
 
 def embed_curve() -> CpwlCurve:
-    ts = np.array([0.0, 1 / 3, 2 / 3, 1.0])
-    e1 = ScalarCpwl(ts, np.array([0.0, 1.0, 1.0, 0.0]))
-    e2 = ScalarCpwl(ts, np.array([0.0, 1.0, 0.0, 0.0]))
-    return CpwlCurve((e1, e2), 1)
+    """E as a CPwL curve on its corners 0, 1/3, 2/3, 1."""
+    return CpwlCurve(tuple(ScalarCpwl(np.arange(4) / 3, np.array(c) / 3)
+                           for c in zip(*(_E(i, 3) for i in range(4)))), 1)
 
 
 def _knots_cpwl(knots) -> ScalarCpwl:
@@ -108,17 +110,11 @@ def _loop_field(Q: int, knot_lists) -> PlanarCpwlField:
         *({i for i, _ in knots if i < Q} for knots in knot_lists)))
     values = [_knots_at(knots, ts) for knots in knot_lists]
     m = math.lcm(*(v.denominator for vs in values for v in vs))
-
-    def E(i):  # Q E(i / Q)
-        s = 3 * i
-        return (s, s) if s <= Q else (Q, 2 * Q - s) if s <= 2 * Q else (3 * Q - s, 0)
-
     rows = [[2 * Q // 3, Q // 3, *[0] * len(values)],
-            *([*E(t), *vs] for t, *vs in zip(ts, *values))]
+            *([*_E(t, Q), *vs] for t, *vs in zip(ts, *values))]
     return fan_core(Q * m, [[int(m * v) for v in row] for row in rows])
 
 
-@lru_cache(maxsize=None)
 def build_controller_field(M: int) -> PlanarCpwlField:
     """CPwL field F on the triangle with F(E(t)) = E(R(t)).
 
@@ -130,10 +126,9 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     orbit that ``residual_iterate`` rounds.  In float64 (the compiled
     networks) its drift grows about M^n eps.
     """
-    # at t = j / (3M), E(M t mod 1) is the corner E(j / 3 mod 1)
-    corners = [(0, 0), (3 * M, 3 * M), (3 * M, 0)]
-    images = [corners[j % 3] for j in range(3 * M + 1)]
-    return _loop_field(3 * M, [list(enumerate(coord)) for coord in zip(*images)])
+    Q = 3 * M  # at t = j / Q, Q E(M t mod 1) = Q E((M j mod Q) / Q)
+    images = [_E(M * j % Q, Q) for j in range(Q + 1)]
+    return _loop_field(Q, [list(enumerate(coord)) for coord in zip(*images)])
 
 
 def controller_orbit(x: float, n: int, F) -> np.ndarray:
@@ -195,21 +190,24 @@ def _compose_scalar(outer: ScalarCpwl, inner: ScalarCpwl) -> ScalarCpwl:
     return ScalarCpwl(ts, outer(inner(ts)))
 
 
+def _selector_grid(cfg: LoopConfig) -> tuple:
+    """(Q, knot lists) of theta_0..theta_{M-1} (see ``selector_scalars``):
+    each list is [(0, v_0), .., (Q, v_k)] of integer knots (i, v) at
+    t = i / Q with value v / Q, on Q = 3 b for delta_n = a / b, where every
+    knot is an integer."""
+    M, (a, b) = cfg.M, _delta_n_ratio(cfg)
+    Q = 3 * b
+    d, w = 3 * a, Q // M          # delta_n and a cell's width, over Q
+    lists = [[(0, 0), *[(q * w, 0)] * (q > 0), (q * w + d, Q), ((q + 1) * w, Q),
+              ((q + 1) * w + d, 0), (Q, 0)] for q in range(M - 1)]
+    lists.append([(0, Q), (d, 0), ((M - 1) * w, 0), ((M - 1) * w + d, Q), (Q, Q)])
+    return Q, lists
+
+
 def _selector_knots(cfg: LoopConfig) -> list:
-    """Rational knots of theta_0..theta_{M-1} (see ``selector_scalars``)."""
-    M, d = cfg.M, _delta_n_exact(cfg)
-    out = []
-    for q in range(M):
-        c0, c1 = Fraction(q, M), Fraction(q + 1, M)
-        if q == M - 1:
-            pts = [(0, 1), (d, 0), (c0, 0), (c0 + d, 1), (1, 1)]
-        else:
-            pts = [(0, 0)]
-            if q > 0:
-                pts.append((c0, 0))
-            pts.extend([(c0 + d, 1), (c1, 1), (c1 + d, 0), (1, 0)])
-        out.append(pts)
-    return out
+    """The knots of ``_selector_grid`` as ``Fraction``s (t, theta_q(t))."""
+    Q, lists = _selector_grid(cfg)
+    return [[(Fraction(i, Q), Fraction(v, Q)) for i, v in knots] for knots in lists]
 
 
 def selector_scalars(cfg: LoopConfig) -> list:
@@ -226,14 +224,5 @@ def selector_scalars(cfg: LoopConfig) -> list:
 
 def selector_field(cfg: LoopConfig) -> PlanarCpwlField:
     """chi on the triangle with chi_q(E(t)) = theta_q(t), q = 0..M-1: one
-    fan on the corners and the knots of ``_selector_knots``, with M outputs,
-    solved over Q = 3 M^(n+1) times the denominators of DELTA_BAR and RHO
-    (24 M^(n+1)), where every knot is an integer."""
-    M = cfg.M
-    (a, b), (c, e) = DELTA_BAR.as_integer_ratio(), RHO.as_integer_ratio()
-    Q = 3 * b * e * M ** (cfg.n + 1)
-    d, w = 3 * a * c, Q // M          # delta_n and a cell's width, over Q
-    lists = [[(0, 0), *[(q * w, 0)] * (q > 0), (q * w + d, Q), ((q + 1) * w, Q),
-              ((q + 1) * w + d, 0), (Q, 0)] for q in range(M - 1)]
-    lists.append([(0, Q), (d, 0), ((M - 1) * w, 0), ((M - 1) * w + d, Q), (Q, Q)])
-    return _loop_field(Q, lists)
+    fan on the corners and the knots of ``_selector_grid``, with M outputs."""
+    return _loop_field(*_selector_grid(cfg))

@@ -223,7 +223,7 @@ def cascade_eval(op: RefinementOp, curve: CpwlCurve, x, n: int) -> np.ndarray:
     T = block_transitions(op)
     for j in reversed(range(n)):
         v = T[digits[:, j]] @ v
-    return v.reshape(*x.shape, -1)
+    return v.reshape(x.shape + (op.p * op.L,))
 
 
 def transition_norm(op: RefinementOp) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,20 @@ def test_arrays_are_read_only_views():
         f.vs[1] = 2.0
     assert ts.flags.writeable and vs.flags.writeable
     assert np.shares_memory(f.ts, ts) and np.shares_memory(f.vs, vs)
+
+
+def test_evaluation_copies_no_breakpoints():
+    # np.interp copies a read-only array on every call: a one-point call on
+    # 10^5 breakpoints would allocate 1.6 MB, and reading the caller's
+    # writeable arrays allocates a few hundred bytes
+    ts = np.linspace(0.0, 1.0, 100_000)
+    f, x = ScalarCpwl(ts, ts * ts), np.array([0.3])
+    f(x)
+    tracemalloc.start()
+    try:
+        got = f(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    assert np.array_equal(got, np.interp(x, ts, ts * ts))

@@ -118,6 +118,37 @@ def test_hilbert_rp_half_orthogonal():
         inst.check_edges()
 
 
+# hilbert_rp(p) for p = 3, 4 written out: the chain in halves, one row a
+# word of digits, and each copy map A_j as a code s with A_j[i, |s_i| - 1]
+# = sign(s_i) / 2 and every other entry 0
+HILBERT_RP = {
+    3: ("000 001 011 021 121 221 211 201 200",
+        [(2, 3, 1), (2, 1, 3), (2, 1, 3), (1, -3, -2), (1, -3, -2),
+         (-2, -1, 3), (-2, -1, 3), (-2, 3, -1)]),
+    4: ("0000 0001 0011 0021 0121 0221 0211 0201 1201 "
+        "2201 2211 2221 2121 2021 2011 2001 2000",
+        [(2, 3, 4, 1), (2, 3, 1, 4), (2, 3, 1, 4), (2, 1, -4, -3),
+         (2, 1, -4, -3), (2, -3, -1, 4), (2, -3, -1, 4), (1, -3, 4, -2),
+         (1, -3, 4, -2), (-2, -3, 1, 4), (-2, -3, 1, 4), (-2, -1, -4, -3),
+         (-2, -1, -4, -3), (-2, 3, -1, 4), (-2, 3, -1, 4), (-2, 3, 4, -1)]),
+}
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_hilbert_rp_chain_and_maps_are_pinned(p):
+    # orthogonality and the edge condition (first columns only) cannot see
+    # a sign flipped in the other columns of a lifted copy map
+    words, codes = HILBERT_RP[p]
+    inst = hilbert_rp(p)
+    assert np.array_equal(inst.chain, [[int(c) / 2 for c in w] for w in words.split()])
+    assert len(inst.matrices) == len(codes)
+    for A, code in zip(inst.matrices, codes):
+        want = np.zeros((p, p))
+        for i, s in enumerate(code):
+            want[i, abs(s) - 1] = np.sign(s) / 2
+        assert np.array_equal(A, want)
+
+
 @pytest.mark.parametrize("oracle, n", [
     (lambda n: polygonal_oracle(koch(), n), 3),
     (lambda n: hilbert_connector().oracle(n), 3),

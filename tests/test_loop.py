@@ -7,8 +7,9 @@ import pytest
 
 from refinet import cli, compiler, gallery
 from refinet.cpwl import RHO, ScalarCpwl, SpecialHat, decompose_atomic, hat
-from refinet.loop import (LoopConfig, _embed_exact, _selector_knots,
-                          build_controller_field, controller_orbit, embed,
+from refinet.loop import (DELTA_BAR, LoopConfig, _embed_exact,
+                          _selector_knots, build_controller_field,
+                          controller_orbit, embed,
                           min_readout_scalar, readout_minus, readout_plus,
                           scalar_field, selector_field, selector_scalars)
 from refinet.network import eval_exact
@@ -254,6 +255,23 @@ def test_selector_partition_and_indicator():
             for r in range(M):
                 if r != q:
                     assert np.all(thetas[r](sel) == 0.0)
+
+
+def test_selector_knots_ramp_after_each_cell_start():
+    # theta_q rises over [q/M, q/M + delta_n] and falls over [(q+1)/M,
+    # (q+1)/M + delta_n]; theta_{M-1} owns the seam; exact in Fractions
+    for M in range(2, 8):
+        for n in range(6):
+            d = Fraction(DELTA_BAR) * Fraction(RHO) / M ** (n + 1)
+            knots = _selector_knots(LoopConfig(M, n))
+            assert len(knots) == M
+            for q in range(M - 1):
+                c0, c1 = Fraction(q, M), Fraction(q + 1, M)
+                assert knots[q] == [(0, 0), *[(c0, 0)] * (q > 0), (c0 + d, 1),
+                                    (c1, 1), (c1 + d, 0), (1, 0)]
+            c0 = Fraction(M - 1, M)
+            assert knots[-1] == [(0, 1), (d, 0), (c0, 0), (c0 + d, 1), (1, 1)]
+            assert all(type(x) is Fraction for k in knots for knot in k for x in knot)
 
 
 def test_selector_fields_match_scalars():

@@ -190,6 +190,8 @@ def test_cascade_array_equals_point_calls():
             want = np.array([cascade_eval(op, g, x, n) for x in xs])
             assert want.shape == (xs.size, p * L)
             assert np.array_equal(got.reshape(want.shape), want)
+            # no points: shape (0, p*L), as the compiled net and apply_v_n give
+            assert cascade_eval(op, g, np.array([]), n).shape == (0, p * L)
 
 
 def test_transition_norm_positive():
