@@ -83,7 +83,7 @@ def _stacked_anchor(sysm):
 _HOMOGENEOUS = (lambda op, src, n: compile_homogeneous(op, _default_gamma(op), n),
                 lambda op, src, n: apply_v_n(op, _default_gamma(op), n))
 
-# source kind -> {mode: (compile, oracle)}, each called as f(op, src, n)
+# source kind -> {mode: (compile, oracle)}, called as f(op, src, n), default first
 MODES = {
     "spec": {
         "homogeneous": _HOMOGENEOUS,
@@ -94,10 +94,10 @@ MODES = {
                 op, zero_curve(op.p, op.L), _spec_forcing(forcing), n)),
     },
     "polygonal": {
-        "homogeneous": _HOMOGENEOUS,
         "anchored": (
             lambda op, inst, n: compile_anchored(op, None, inst.anchor(), None, n),
             lambda op, inst, n: gallery.polygonal_oracle(inst, n)),
+        "homogeneous": _HOMOGENEOUS,
     },
     "connector": {
         "anchored": (_connector_compile, lambda op, inst, n: inst.oracle(n)),
@@ -130,10 +130,11 @@ def _build(args):
     """Compile the requested stage; returns (CompiledIterate, oracle, op)."""
     kind, op, src = _source(args)
     modes = MODES[kind]
-    if args.mode not in modes:
+    mode = args.mode or next(iter(modes))
+    if mode not in modes:
         raise ModeError(f"a {kind} source honours --mode {' or '.join(modes)}, "
-                        f"not {args.mode!r}")
-    compile_, oracle = modes[args.mode]
+                        f"not {mode!r}")
+    compile_, oracle = modes[mode]
     # the oracle first: a stage past its breakpoint cap is refused uncompiled
     want = oracle(op, src, args.stage)
     return compile_(op, src, args.stage), want, op
@@ -257,8 +258,7 @@ def main(argv=None):
         sp.add_argument("--spec", help="operator spec JSON file")
         sp.add_argument("--example", help="named gallery instance")
         sp.add_argument("--stage", type=int, default=2)
-        sp.add_argument("--mode", default="anchored",
-                        choices=["homogeneous", "affine", "anchored"])
+        sp.add_argument("--mode", choices=["homogeneous", "affine", "anchored"])
         sp.add_argument("--grid", type=int, default=1000)
         sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--out")

@@ -33,7 +33,7 @@ from .network import (Layer, ReluNetwork, affine_net, cut_tail, cut_zeros,
                       lower_curve_1d, net_stats, passthrough, post_affine,
                       serial, stack_nets)
 from .planar import lower_planar_field
-from .refinement import RefinementOp, block_transition, transition_norm
+from .refinement import RefinementOp, block_transitions, transition_norm
 
 GADGET_SAFETY = 2.0
 
@@ -141,7 +141,7 @@ def _gate_half(op: RefinementOp, a: float) -> ReluNetwork:
                        [list(range(M)), list(range(M, M + B))], M + B)
     gates = stack_nets([product_gadget(a, B)] * M,
                        [[q, *range(M, M + B)] for q in range(M)], M + B)
-    T = np.hstack([np.kron(np.eye(pL), block_transition(op, q).T) for q in range(M)])
+    T = np.hstack([np.kron(np.eye(pL), Tq.T) for Tq in block_transitions(op)])
     return stack_nets([_controller_net(M), serial(carry, post_affine(gates, T, np.zeros(B)))],
                       [[0, 1], list(range(2, 2 + M + B))], 2 + M + B)
 

@@ -80,8 +80,13 @@ class ScalarCpwl:
             return np.zeros(0)
         return np.diff(self.vs) / np.diff(self.ts)
 
+    def with_values(self, vs) -> "ScalarCpwl":
+        """The function with values ``vs`` at these breakpoints, on the
+        array that this one's evaluation reads, not the read-only ``ts``."""
+        return ScalarCpwl(self._interp[0], vs)
+
     def scale(self, a: float) -> "ScalarCpwl":
-        return ScalarCpwl(self.ts, a * self.vs)
+        return self.with_values(a * self.vs)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vs)))

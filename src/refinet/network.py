@@ -5,9 +5,8 @@ exactly one linear output layer.  Affine maps fold into neighbouring
 layers, so pre/post composition and serial wiring never add depth.
 Every layer's weights are one dense float64 array.  The constructor checks
 layers from outside (callers, JSON); composition reuses the checked layers
-of its nets and folds only at the seams.  Evaluation runs only the units
-that can be nonzero for some input (``_nonzero_layers``) and that some
-output reads (``_live_layers``).
+of its nets and folds only at the seams.  Evaluation runs the layers as
+stored: the compiler alone cuts units (``cut_zeros``, ``cut_tail``).
 """
 from __future__ import annotations
 
@@ -123,8 +122,7 @@ class ReluNetwork:
         and fault them in again per layer.
 
         Each layer runs as the steps of the evaluation plan, built on the
-        first call and cached (``_plan``) on the live rows only
-        (``_nonzero_layers``, ``_live_layers``): one matmul per contiguous
+        first call and cached (``_plan``): one matmul per contiguous
         diagonal block of W, each block with a bias multiplying [W | b] by
         its input rows and a ones row, one fill of the ones rows that the
         next layer reads, and one ReLU.  The input tile's ones rows are set
@@ -168,37 +166,15 @@ class ReluNetwork:
         return out[0] if single else out
 
     def _plan(self) -> _Plan:
-        """The cached evaluation plan of the live layers (``_build_plan``)."""
+        """The cached evaluation plan of the layers (``_build_plan``)."""
         if self._eval_plan is None:
-            self._eval_plan = _build_plan(self.input_dim,
-                                           _live_layers(_nonzero_layers(self.layers)))
+            self._eval_plan = _build_plan(self.input_dim, self.layers)
         return self._eval_plan
 
     def eval_scalar_input(self, t):
         """Convenience for 1-input networks: map array t to (N, out)."""
         t = np.atleast_1d(np.asarray(t))
         return self(t[:, None])
-
-
-def _live_layers(layers, rows=slice(None), tail: bool = False):
-    """``layers`` cut to the live rows behind the output rows ``rows`` (all
-    by default).  A row of an earlier layer is live when some live row of
-    the next layer has a nonzero weight on it.  A dead row adds only exact
-    0 * y terms to the outputs, so dropping it keeps every sum that BLAS
-    adds in index order bitwise.  With ``tail`` the cut stops at the first
-    layer that loses no row, and the layers before it stay as they are."""
-    out = []
-    for k in range(len(layers) - 1, -1, -1):
-        l = layers[k]
-        W, b = l.weights[rows], l.bias[rows]    # rows: the live rows of layer k
-        if k:
-            used = W.any(axis=0)
-            rows = slice(None) if used.all() else np.flatnonzero(used)
-            W = W[:, rows]
-        out.append(Layer(W, b, l.activation))
-        if tail and isinstance(rows, slice):
-            return [*layers[:k], *out[::-1]]
-    return out[::-1]
 
 
 def _nonzero_layers(layers, seams=None):
@@ -244,11 +220,23 @@ def cut_zeros(net: ReluNetwork, seams=None) -> ReluNetwork:
 
 def cut_tail(net: ReluNetwork, outputs) -> ReluNetwork:
     """``net`` restricted to its output rows ``outputs``, without the units
-    that they do not read: its live rows (``_live_layers``), cut back to the
-    first layer that loses no row.  A net whose dead units all sit behind
-    unread outputs, as every compiled core's do, keeps no dead unit."""
-    return ReluNetwork._canonical(
-        net.input_dim, _live_layers(net.layers, outputs, tail=True))
+    that they do not read: a row is live when some live row of the next
+    layer has a nonzero weight on it, and a dead row adds only exact 0 * y
+    terms, so every sum that BLAS adds in index order stays bitwise.  The
+    cut stops at the first layer that loses no row; a compiled core's dead
+    units all sit behind unread outputs, so it keeps none."""
+    layers, rows, out = net.layers, outputs, []
+    for k in range(len(layers) - 1, -1, -1):
+        l = layers[k]
+        W, b = l.weights[rows], l.bias[rows]    # rows: the live rows of layer k
+        if k:
+            used = W.any(axis=0)
+            rows = slice(None) if used.all() else np.flatnonzero(used)
+            W = W[:, rows]
+        out.append(Layer(W, b, l.activation))
+        if isinstance(rows, slice):
+            break
+    return ReluNetwork._canonical(net.input_dim, [*layers[:k], *out[::-1]])
 
 
 def _diagonal_blocks(layers):
@@ -533,7 +521,7 @@ def _sizes(net: ReluNetwork) -> dict:
 
 def net_stats(net: ReluNetwork) -> dict:
     """Sizes of ``net``; ``nnz`` counts its stored nonzero weights, and the
-    rest read its float64 evaluation plan on the live rows: ``eval_entries``
+    rest read its float64 evaluation plan: ``eval_entries``
     the weights it multiplies per point (bias columns and zero rows aside),
     ``eval_calls`` the numpy calls a tile makes (matmuls, adds of column
     chunks, fills of the ones rows and ReLUs), and ``eval_buffer_bytes`` the
@@ -566,22 +554,18 @@ def _layer_to_json(l: Layer) -> dict:
 
 
 def _layer_from_json(d: dict) -> Layer:
-    """A layer from ``_layer_to_json``'s triplets, or from the dense
-    ``weights`` of older files.  Triplets at one position sum, as older
-    files meant them."""
-    if "weights_coo" in d:
-        c = d["weights_coo"]
-        n, m = (int(k) for k in c["shape"])
-        rows, cols = (np.asarray(c[k], dtype=int) for k in ("rows", "cols"))
-        vals = np.asarray(c["vals"], dtype=float)
-        if not rows.size == cols.size == vals.size:
-            raise ValueError("weights_coo rows, cols and vals differ in length")
-        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= m)):
-            raise ValueError(f"weights_coo index outside shape {(n, m)}")
-        W = np.zeros((n, m))
-        np.add.at(W, (rows, cols), vals)
-    else:
-        W = np.asarray(d["weights"], dtype=float)
+    """A layer from ``_layer_to_json``'s triplets; triplets at one position
+    sum."""
+    c = d["weights_coo"]
+    n, m = (int(k) for k in c["shape"])
+    rows, cols = (np.asarray(c[k], dtype=int) for k in ("rows", "cols"))
+    vals = np.asarray(c["vals"], dtype=float)
+    if not rows.size == cols.size == vals.size:
+        raise ValueError("weights_coo rows, cols and vals differ in length")
+    if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= m)):
+        raise ValueError(f"weights_coo index outside shape {(n, m)}")
+    W = np.zeros((n, m))
+    np.add.at(W, (rows, cols), vals)
     return Layer(W, np.asarray(d["bias"], dtype=float), d["activation"])
 
 

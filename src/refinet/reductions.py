@@ -70,7 +70,7 @@ def anchor_mismatch(op: RefinementOp, B: CpwlCurve, Gamma: CpwlCurve):
             vs = c.vs.copy()
             vs[0] = 0.0
             vs[-1] = 0.0
-            comps.append(ScalarCpwl(c.ts, vs))
+            comps.append(c.with_values(vs))
         E = CpwlCurve(tuple(comps), E.L)
     return E, compact
 

@@ -5,10 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from refinet import cli, network, refinement
+from refinet import cli, refinement
 from refinet.cli import _build, _verify_grid, main, parse_operator_spec, SpecParseError
 from refinet.network import load_network
-from test_network import _check_exact
+from test_network import _check_exact, _unread_units, _zero_units
 
 
 SPEC = {"M": 2, "p": 1, "L": 1,
@@ -64,7 +64,7 @@ def test_verify_spec_affine_forcing(tmp_path, stage, capsys):
 
 @pytest.mark.parametrize("example, mode, honoured", [
     ("hilbert", "homogeneous", "anchored"),
-    ("koch", "affine", "homogeneous or anchored"),
+    ("koch", "affine", "anchored or homogeneous"),
     ("gosper", "homogeneous", "anchored"),
     (None, "anchored", "homogeneous or affine"),     # the --spec source
 ], ids=["hilbert-homogeneous", "koch-affine", "gosper-homogeneous",
@@ -76,6 +76,19 @@ def test_unhonoured_mode_is_parse_error(spec_file, tmp_path, example, mode,
                "--out", str(tmp_path / "net.json")])
     assert rc == 2
     assert f"honours --mode {honoured}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("example, mode", [(None, "homogeneous"), ("koch", "anchored")],
+                         ids=["spec", "koch"])
+def test_mode_defaults_to_the_sources_first(spec_file, example, mode, capsys):
+    # without --mode a source runs the first mode it honours: a spec's
+    # homogeneous, a gallery example's anchored
+    source = ["--example", example] if example else ["--spec", spec_file]
+    outs = []
+    for given in [[], ["--mode", mode]]:
+        assert main(["verify", *source, "--stage", "2", *given]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "PASS" in outs[0] and outs[0] == outs[1]
 
 
 def test_verify_spec_passes(spec_file, capsys):
@@ -142,9 +155,8 @@ def test_verify_sweep_passes_and_stores_no_dead_unit(capsys):
                     run = (example, mode, stage)
                     assert main(["verify", "--example", example, "--mode", mode,
                                  "--stage", str(stage)]) == 0, run
-                    shapes = [l.weights.shape for l in nets[-1].layers]
-                    for cut in [network._live_layers, network._nonzero_layers]:
-                        assert [l.weights.shape for l in cut(nets[-1].layers)] == shapes, run
+                    assert not any(_unread_units(nets[-1])), run
+                    assert not any(_zero_units(nets[-1])), run
                     runs.append(run)
     assert len(runs) == 64
     assert capsys.readouterr().out.count("PASS") == 64

@@ -145,15 +145,17 @@ def test_arrays_are_read_only_views():
 def test_evaluation_copies_no_breakpoints():
     # np.interp copies a read-only array on every call: a one-point call on
     # 10^5 breakpoints would allocate 1.6 MB, and reading the caller's
-    # writeable arrays allocates a few hundred bytes
+    # writeable arrays allocates a few hundred bytes; a function built from
+    # another's breakpoints (scale, with_values) reads the same arrays
     ts = np.linspace(0.0, 1.0, 100_000)
     f, x = ScalarCpwl(ts, ts * ts), np.array([0.3])
-    f(x)
-    tracemalloc.start()
-    try:
-        got = f(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10_000
-    assert np.array_equal(got, np.interp(x, ts, ts * ts))
+    for g, vs in [(f, ts * ts), (f.scale(2.0), 2.0 * (ts * ts)), (f.with_values(-ts), -ts)]:
+        g(x)
+        tracemalloc.start()
+        try:
+            got = g(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        assert np.array_equal(got, np.interp(x, ts, vs))

@@ -118,9 +118,9 @@ def test_cut_tail_stops_at_first_full_layer():
     assert np.allclose(cut(x)[:, 0], net(x)[:, 1], rtol=1e-14, atol=1e-14)
 
 
-def test_loaded_net_plans_its_live_rows_only(tmp_path):
+def test_loaded_net_plans_its_stored_rows(tmp_path):
     # a dead unit in front of a layer that loses no row: a tail cut stops
-    # before it, and the plan of a net read from JSON still drops it
+    # before it, and the plan of the net read from JSON runs it as stored
     rng = np.random.default_rng(6)
     W1 = rng.normal(size=(3, 2))
     W2 = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0]])
@@ -129,14 +129,17 @@ def test_loaded_net_plans_its_live_rows_only(tmp_path):
                           Layer(np.array([[1.0, -1.0]]), np.zeros(1), "linear")])
     assert [l.weights.shape for l in cut_tail(net, np.array([0])).layers] == \
         [l.weights.shape for l in net.layers]
+    assert _unread_units(net) == [[2], [], []]
     path = str(tmp_path / "net.json")
     save_network(net, path)
     back = load_network(path)
-    cut = ReluNetwork._canonical(2, network._live_layers(net.layers))
-    assert [l.weights.shape[0] for l in cut.layers] == [2, 2, 1]
-    assert [step[0] for step in back._plan().steps] == [step[0] for step in cut._plan().steps]
+    # the first step writes the three stored units, the dead one too, and
+    # the ones row that the second layer's bias reads
+    rows, _, ones, _ = back._plan().steps[0]
+    assert (rows, ones.size) == (4, 1)
+    assert [step[0] for step in back._plan().steps] == [step[0] for step in net._plan().steps]
     x = rng.normal(size=(50, 2))
-    assert back(x).tobytes() == cut(x).tobytes()
+    assert back(x).tobytes() == net(x).tobytes()
 
 
 def test_passthrough_exact():
@@ -579,31 +582,40 @@ def _plant_unread_units(net, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_nets(), stacked_nets()), st.integers(1, 4))
-def test_plan_holds_only_live_rows(net_rng, N):
+def test_plan_runs_unread_units_exactly(net_rng, N):
+    # the plan runs a net's layers as stored, unread units and all
     net, rng = net_rng
     planted = _plant_unread_units(net, rng)
-    # the planted units are cut from the plan, with the rows that only they read
-    assert [p[0] for p in planted._plan().steps] == [p[0] for p in net._plan().steps]
-    assert net_stats(planted)["eval_entries"] == net_stats(net)["eval_entries"]
     x = rng.normal(size=(N, net.input_dim))
-    assert planted(x).tobytes() == net(x).tobytes()
     assert np.allclose(planted(x), _reference(planted, x), rtol=1e-12, atol=1e-12)
     _check_exact(planted, x)
 
 
 def _zero_units(net):
     """Per layer, the units that are 0 for every input by the forward rule,
-    found by a plain loop: past the first layer, a ReLU unit whose bias and
-    weights on the units kept in front of it are all <= 0."""
-    dropped, kept = [], range(net.input_dim)
+    found by a plain pass in layer order: past the first layer, a ReLU unit
+    whose bias and weights on the units kept in front of it are all <= 0."""
+    dropped, kept = [], np.arange(net.input_dim)
     for k, l in enumerate(net.layers):
         W = l.weights
-        drop = [i for i in range(W.shape[0])
-                if k and l.activation == "relu" and l.bias[i] <= 0
-                and all(W[i, j] <= 0 for j in kept)]
+        drop = []
+        if k and l.activation == "relu":
+            drop = np.flatnonzero((l.bias <= 0) & np.all(W[:, kept] <= 0, axis=1)).tolist()
         dropped.append(drop)
-        kept = [i for i in range(W.shape[0]) if i not in drop]
+        kept = np.delete(np.arange(W.shape[0]), drop)
     return dropped
+
+
+def _unread_units(net):
+    """Per layer, the units that no output reads, found by a plain pass
+    from the output back: a unit is read when some read unit of the next
+    layer has a nonzero weight on it."""
+    unread, read = [[]], list(range(net.output_dim))
+    for l in net.layers[:0:-1]:
+        used = np.any(l.weights[read] != 0, axis=0)
+        read = np.flatnonzero(used).tolist()
+        unread.append(np.flatnonzero(~used).tolist())
+    return unread[::-1]
 
 
 @st.composite
@@ -642,10 +654,7 @@ def test_forward_cut_drops_only_zero_units(net_rng, N):
               for row, c in zip(l.weights.tolist(), l.bias.tolist())] for p in q]
         assert np.all(y[:, drop] == 0) and all(p[i] == 0 for p in q for i in drop)
     # the cut net evaluates bitwise as the whole net, and exactly as its layers
-    whole = ReluNetwork(net.input_dim, net.layers)
-    with mock.patch.object(network, "_nonzero_layers", lambda layers: list(layers)):
-        want = whole(x)
-    assert np.array_equal(ReluNetwork._canonical(net.input_dim, cut)(x), want)
+    assert np.array_equal(ReluNetwork._canonical(net.input_dim, cut)(x), net(x))
     _check_exact(net, x)
     # a dropped unit whose bias turns positive is kept
     k = next((k for k, drop in enumerate(dropped) if drop), None)

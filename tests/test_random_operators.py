@@ -11,12 +11,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from refinet import network
 from refinet.compiler import compile_homogeneous
 from refinet.cpwl import CpwlCurve, ScalarCpwl, curve_add
 from refinet.reductions import (FiniteStateSystem, compile_affine, compile_anchored,
                                 iterate_w, stack_curves, stack_system)
 from refinet.refinement import RefinementOp, apply_v_n
+from test_network import _unread_units, _zero_units
 
 REL_TOL = 1e-9
 
@@ -48,9 +48,7 @@ def check(net, want: CpwlCurve, M: int, n: int, L: int):
     ref = want(ts)
     err = np.max(np.abs(net.eval_scalar_input(ts) - ref))
     assert err <= REL_TOL * max(1.0, float(np.max(np.abs(ref)))), err
-    shapes = [l.weights.shape for l in net.layers]
-    for cut in [network._live_layers, network._nonzero_layers]:
-        assert [l.weights.shape for l in cut(net.layers)] == shapes
+    assert not any(_unread_units(net)) and not any(_zero_units(net))
 
 
 # (M, p, L, n): every (p, L) at every dilation, one stage deeper on small

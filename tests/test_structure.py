@@ -15,7 +15,6 @@ one of these nets, or the work or memory of compiling or evaluating it,
 fails here, before it reaches a benchmark run.
 """
 import argparse
-import json
 import tracemalloc
 from unittest import mock
 
@@ -87,25 +86,16 @@ def test_widest_gallery_net_fits_dense():
 def test_json_roundtrip_keeps_layers_and_outputs(tmp_path):
     # a file holds the nonzero weights as (row, col, value) triplets: every
     # layer reads back bitwise, bar -0.0 weights, which read back as 0.0 and
-    # compute the same; a file of dense weights, as older versions wrote for
-    # every layer of these nets, reads back bitwise
+    # compute the same
     path = str(tmp_path / "net.json")
     x = np.linspace(-0.5, 4.5, 2001)[:, None]
-    nets = [scalar_deep().net, anchored("koch", 3).net, anchored("heighway", 8).net]
-    for net in [*nets, cli_anchored("morton3", 3).net]:
+    for net in [scalar_deep().net, anchored("koch", 3).net, anchored("heighway", 8).net,
+                cli_anchored("morton3", 3).net]:
         save_network(net, path)
         back = load_network(path)
         assert [_layer_bytes(l) for l in back.layers] == \
             [_layer_bytes(Layer(l.weights + 0.0, l.bias, l.activation)) for l in net.layers]
         assert np.array_equal(back(x), net(x))
-    for net in nets:
-        old = {"input_dim": net.input_dim,
-               "layers": [{"bias": l.bias.tolist(), "activation": l.activation,
-                           "weights": l.weights.tolist()} for l in net.layers]}
-        with open(path, "w") as fh:
-            json.dump(old, fh)
-        back = load_network(path)
-        assert [_layer_bytes(l) for l in back.layers] == [_layer_bytes(l) for l in net.layers]
 
 
 @pytest.mark.parametrize("build", [scalar_deep, lambda: anchored("koch", 3),
