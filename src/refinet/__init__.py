@@ -4,9 +4,9 @@ ReLU networks, verified against direct-recursion oracles."""
 from .cpwl import (AtomicTerm, CpwlCurve, ScalarCpwl, SpecialHat,
                    cpwl_combine, decompose_atomic, hat)
 from .refinement import (DigitStream, RefinementOp, apply_v, apply_v_n,
-                         block_transition, cascade_eval, digit_residual,
-                         residual_iterate, vectorize)
-from .network import (ReluNetwork, lower_scalar_cpwl, net_stats, passthrough,
+                         cascade_eval, digit_residual, residual_iterate,
+                         vectorize)
+from .network import (ReluNetwork, lower_curve_1d, net_stats, passthrough,
                       post_affine, pre_affine, serial, load_network,
                       save_network)
 from .planar import PlanarCpwlField, lower_planar_field

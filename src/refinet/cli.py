@@ -30,16 +30,22 @@ def parse_operator_spec(d: dict):
     """Operator JSON: {"M","p","L","mask":[{"j","A"}],"forcing"?}.
 
     Returns (op, forcing): ``forcing`` is None, or the function r -> B_r of
-    the listed curves, the last of which repeats for later stages.
+    the listed curves, the last of which repeats for later stages.  A mask
+    index listed twice, or a non-finite entry, is a ``SpecParseError``.
     """
     try:
         M, p, L = int(d["M"]), int(d["p"]), int(d["L"])
-        mask = {int(e["j"]): np.asarray(e["A"], dtype=float) for e in d["mask"]}
-        curves = []
-        for entry in d.get("forcing", []):
-            pts = np.asarray(entry["curve"], dtype=float)
-            comps = tuple(ScalarCpwl(pts[:, 0], pts[:, 1 + i]) for i in range(p))
-            curves.append(CpwlCurve(comps, L))
+        mask = {}
+        for e in d["mask"]:
+            j = int(e["j"])
+            if j in mask:
+                raise ValueError(f"mask lists j={j} twice")
+            mask[j] = np.asarray(e["A"], dtype=float)
+        pts = [np.asarray(entry["curve"], dtype=float) for entry in d.get("forcing", [])]
+        if not all(np.isfinite(a).all() for a in [*mask.values(), *pts]):
+            raise ValueError("a mask or forcing entry is not finite")
+        curves = [CpwlCurve(tuple(ScalarCpwl(c[:, 0], c[:, 1 + i]) for i in range(p)), L)
+                  for c in pts]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SpecParseError(f"malformed operator spec: {exc}") from exc
     op = RefinementOp(M, p, L, mask)

@@ -72,7 +72,8 @@ def product_gadget(a: float, N: int) -> ReluNetwork:
 
 @lru_cache(maxsize=None)
 def _embed_net() -> ReluNetwork:
-    return lower_curve_1d(embed_curve())
+    """x -> (E(x), E(x)): z and the carried copy of E, lowered as one curve."""
+    return lower_curve_1d(CpwlCurve(embed_curve().components * 2))
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +110,7 @@ def _scalar_head(h: SpecialHat) -> ReluNetwork:
 def scalar_factor_net(h: SpecialHat, M: int, n: int) -> ReluNetwork:
     """x in [0, 1] -> (h(R^n(x)), E(x)), E(x) carried on two nonnegative
     channels."""
-    # x -> (z, E(x)) with z = E(x)
-    start = post_affine(_embed_net(), np.vstack([np.eye(2)] * 2), np.zeros(4))
-    return serial(start, *[_controller_step(M)] * n, _scalar_head(h))
+    return serial(_embed_net(), *[_controller_step(M)] * n, _scalar_head(h))
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +230,8 @@ def _job_cells(op: RefinementOp, curve: CpwlCurve, n: int):
 def compile_jobs(op: RefinementOp, jobs) -> tuple:
     """(net, info): t -> the sum of V^k(curve) over ``jobs`` [(curve, k)],
     and the atomic terms and (shift, hat) groups it was built from."""
+    if any(curve.p != op.p for curve, _ in jobs):
+        raise ValueError("curve dimension does not match operator")
     if any(k < 0 for _, k in jobs):
         raise ValueError("a stage power must be nonnegative")
     p = op.p

@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cpwl import ScalarCpwl
-
 # bytes of activations per layer that one tile of evaluated points may hold
 _EVAL_BUDGET = 16 * 2 ** 20
 # points per evaluation tile: at width 18 its two activations hold 1.2 MB, in L2
@@ -495,22 +493,20 @@ def stack_nets(nets, in_slices, input_dim: int) -> ReluNetwork:
     return ReluNetwork._canonical(input_dim, layers)
 
 
-def lower_scalar_cpwl(f: ScalarCpwl) -> ReluNetwork:
-    """Exact one-hidden-layer realization of a scalar CPwL function: a unit
-    ReLU(t - t_i) at each breakpoint where the slope jumps (flat tails on
-    both sides).  A constant keeps its empty hidden layer, so it stays
-    depth 1."""
-    c = np.diff(np.concatenate(([0.0], f.slopes(), [0.0])))
-    live = c != 0
-    l1 = Layer(np.ones((np.count_nonzero(live), 1)), -f.ts[live], "relu")
-    l2 = Layer(c[None, live], np.array([f.left_tail]), "linear")
-    return ReluNetwork(1, [l1, l2])
-
-
 def lower_curve_1d(curve) -> ReluNetwork:
-    """Lower a vector CPwL curve of one variable, sharing the input."""
-    nets = [lower_scalar_cpwl(c) for c in curve.components]
-    return stack_nets(nets, [[0]] * len(nets), 1)
+    """Exact one-hidden-layer realization of a vector CPwL curve of one
+    variable (flat tails on both sides): one unit ReLU(t - t_i) at each
+    distinct point where some component's slope jumps, shared by the
+    components, each reading its own jumps off it over its left tail.  A
+    constant curve keeps its empty hidden layer, so it stays depth 1."""
+    comps = curve.components
+    jumps = [np.diff(np.concatenate(([0.0], c.slopes(), [0.0]))) for c in comps]
+    knots = np.unique(np.concatenate([c.ts[j != 0] for c, j in zip(comps, jumps)]))
+    W = np.zeros((len(comps), knots.size))
+    for row, c, j in zip(W, comps, jumps):
+        row[np.searchsorted(knots, c.ts[j != 0])] = j[j != 0]
+    return ReluNetwork(1, [Layer(np.ones((knots.size, 1)), -knots, "relu"),
+                           Layer(W, np.array([c.left_tail for c in comps]), "linear")])
 
 
 def _sizes(net: ReluNetwork) -> dict:

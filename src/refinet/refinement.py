@@ -202,13 +202,6 @@ def block_transitions(op: RefinementOp) -> np.ndarray:
     return T.reshape(M, p * L, p * L)
 
 
-def block_transition(op: RefinementOp, q: int) -> np.ndarray:
-    """The transition block T_q of digit q (see ``block_transitions``)."""
-    if not 0 <= q < op.M:
-        raise ValueError(f"digit {q} outside 0..{op.M - 1}")
-    return block_transitions(op)[q]
-
-
 def cascade_eval(op: RefinementOp, curve: CpwlCurve, x, n: int) -> np.ndarray:
     """G_n(x) via the digit-driven matrix cascade (no curve refinement), of
     shape x.shape + (p*L,) for a point or an array of points x.

@@ -53,6 +53,22 @@ def test_malformed_forcing_is_parse_error():
         parse_operator_spec({**SPEC, "forcing": [{"curve": [0.5, 1.0]}]})
 
 
+# json writes NaN and infinities as NaN and Infinity, which json.load reads back
+@pytest.mark.parametrize("spec, mode, why", [
+    ({**SPEC, "mask": [*SPEC["mask"], {"j": 1, "A": [[0.5]]}]}, "homogeneous", "j=1 twice"),
+    *[({**SPEC, "mask": [{"j": 0, "A": [[v]]}, {"j": 1, "A": [[1.0]]}]}, "homogeneous",
+       "not finite") for v in (float("nan"), float("inf"), -float("inf"))],
+    ({**FORCED_SPEC, "forcing": [{"curve": [[0.25, 0.0], [0.5, float("nan")], [0.75, 0.0]]}]},
+     "affine", "not finite"),
+], ids=["duplicate-j", "nan-mask", "inf-mask", "minus-inf-mask", "nan-forcing"])
+def test_ambiguous_spec_is_parse_error(tmp_path, capsys, spec, mode, why):
+    # a mask index listed twice is two answers for A_j, not the last one
+    rc = main(["verify", "--spec", _write_spec(tmp_path, spec), "--stage", "2",
+               "--mode", mode])
+    assert rc == 2
+    assert why in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stage", ["0", "1", "2", "3"])
 def test_verify_spec_affine_forcing(tmp_path, stage, capsys):
     spec = _write_spec(tmp_path, FORCED_SPEC)
@@ -118,15 +134,16 @@ def test_verify_connector_low_stages(stage, capsys):
 
 
 def test_verify_folds_one_row_bias(capsys):
-    # morton3's anchored stage-1 net holds a one-row block with bias 0.25,
+    # levy's homogeneous stage-1 net holds a one-row block with bias 1.0,
     # which folds into its matmul as every other bias does; the block runs
     # padded with a zero row, as a matrix product
-    rc = main(["verify", "--example", "morton3", "--stage", "1", "--tol", "1e-6"])
+    rc = main(["verify", "--example", "levy", "--mode", "homogeneous", "--stage", "1",
+               "--tol", "1e-6"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
-    ci, _, op = _build(argparse.Namespace(spec=None, example="morton3", mode="anchored",
+    ci, _, op = _build(argparse.Namespace(spec=None, example="levy", mode="homogeneous",
                                           stage=1))
-    assert any(W.shape[0] == 2 and W[0, -1] == 0.25 and not W[1].any()
+    assert any(W.shape[0] == 2 and W[0, -1] == 1.0 and not W[1].any()
                for _, mats, _, _ in ci.net._plan().steps for _, _, W, _ in mats)
     _check_exact(ci.net, _verify_grid(op.M, 1, op.L, 1000)[:, None])
 

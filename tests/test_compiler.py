@@ -248,6 +248,19 @@ def test_negative_stage_is_refused():
         apply_v_n(op, gam, -1)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_curve_dimension_must_match_operator(n):
+    # p = 1 with a two-component curve, and p = 2 with a one-component one:
+    # compile refuses both at every stage, as apply_v_n does from stage 1 on
+    one = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
+    two = CpwlCurve((hat(0.25, 0.5, 0.75), hat(0.3, 0.5, 0.7)), 1)
+    op2 = RefinementOp(2, 2, 1, {0: np.eye(2), 1: np.eye(2)})
+    for op, curve in [(scalar_op(), two), (op2, one)]:
+        for run in (compile_homogeneous, apply_v_n)[:1 + (n > 0)]:
+            with pytest.raises(ValueError, match="curve dimension does not match operator"):
+                run(op, curve, n)
+
+
 def test_gadget_bound_is_safety_times_height_times_growth_power():
     # a = GADGET_SAFETY * max|h| * lambda^n with lambda = max_q |T_q'|_inf =
     # 1.5 here: 2 * 0.5 * 1.5^3, exactly in binary

@@ -10,7 +10,7 @@ from refinet import network
 from refinet.cpwl import CpwlCurve, ScalarCpwl, constant, hat
 from refinet.network import (Layer, ReluNetwork, affine_net, cut_tail,
                              eval_exact, from_json_dict, identity_net,
-                             load_network, lower_curve_1d, lower_scalar_cpwl,
+                             load_network, lower_curve_1d,
                              net_stats, passthrough, post_affine, pre_affine,
                              save_network, serial, stack_nets, to_json_dict)
 
@@ -26,12 +26,17 @@ def test_canonical_form():
     assert net.layers[-1].activation == "linear"
 
 
-def test_lower_scalar_cpwl_exact():
+def lower_scalar(f):
+    """The one-component curve of ``f``, lowered."""
+    return lower_curve_1d(CpwlCurve((f,), 1))
+
+
+def test_lower_one_component_curve_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):
         k = rng.integers(2, 8)
         f = ScalarCpwl(np.sort(rng.uniform(-1, 2, k)), rng.normal(size=k))
-        net = lower_scalar_cpwl(f)
+        net = lower_scalar(f)
         ts = np.sort(np.concatenate([np.linspace(-2, 3, 400), f.ts]))
         got = net.eval_scalar_input(ts)[:, 0]
         assert np.max(np.abs(got - f(ts))) < 1e-12
@@ -45,7 +50,7 @@ def unread_units(net):
                for l in net.layers[1:])
 
 
-def test_lower_scalar_cpwl_emits_no_unread_unit():
+def test_lower_one_component_curve_emits_no_unread_unit():
     # no unit at a breakpoint where the slope does not jump: between
     # collinear neighbours, or at an end where the function is flat
     rng = np.random.default_rng(12)
@@ -55,7 +60,7 @@ def test_lower_scalar_cpwl_emits_no_unread_unit():
         slopes = rng.integers(-2, 3, k - 1).astype(float)
         vs = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))]) + rng.integers(-4, 5)
         f = ScalarCpwl(ts, vs)
-        net = lower_scalar_cpwl(f)
+        net = lower_scalar(f)
         assert net.depth == 1 and unread_units(net) == 0
         jumps = np.diff(np.concatenate([[0.0], slopes, [0.0]]))
         assert net.layers[0].weights.shape[0] == np.count_nonzero(jumps)
@@ -63,10 +68,33 @@ def test_lower_scalar_cpwl_emits_no_unread_unit():
         assert np.max(np.abs(net.eval_scalar_input(x)[:, 0] - f(x))) < 1e-12
 
 
+def test_lower_curve_1d_shares_one_unit_per_jump_point():
+    # the components bend at 0.25 and 0.75 together: one unit each; 0.5
+    # and 0.5 + 1e-15 are distinct floats: two units; 0 is a bend of the
+    # last component only, which does not bend at 0.25 or 1: one unit
+    mid = 0.5 + 1e-15
+    curve = CpwlCurve((hat(0.25, 0.5, 0.75), hat(0.25, mid, 0.75, height=-2.0),
+                       ScalarCpwl(np.array([0.0, 0.25, 0.5, 1.0]),
+                                  np.array([1.0, 1.5, 2.0, 2.0]))), 1)
+    net = lower_curve_1d(curve)
+    hidden, out = net.layers
+    assert net.depth == 1
+    assert np.array_equal(hidden.weights, np.ones((5, 1)))
+    assert (-hidden.bias).tolist() == [0.0, 0.25, 0.5, mid, 0.75]
+    assert [np.flatnonzero(row).tolist() for row in out.weights] == \
+        [[1, 2, 4], [1, 3, 4], [0, 2]]
+    assert out.bias.tolist() == [0.0, 0.0, 1.0]
+    ts = np.sort(np.concatenate([np.linspace(-1.0, 2.0, 301), -hidden.bias]))
+    assert np.max(np.abs(net.eval_scalar_input(ts) - curve(ts))) < 1e-12
+
+
 def test_constant_component_lowers_at_depth_one():
     # a constant has no unit but keeps its empty hidden layer, so stack_nets
-    # does not pad it beside the other components
-    assert lower_scalar_cpwl(constant(2.0)).depth == 1
+    # does not pad it beside other nets
+    assert lower_scalar(constant(2.0)).depth == 1
+    const = lower_curve_1d(CpwlCurve((constant(2.0), constant(-1.0)), 1))
+    assert [l.weights.shape for l in const.layers] == [(0, 1), (2, 0)]
+    assert const.eval_scalar_input(np.array([-1.0, 0.5, 3.0])).tolist() == [[2.0, -1.0]] * 3
     curve = CpwlCurve((hat(0.25, 0.5, 0.75), constant(2.0)), 1)
     net = lower_curve_1d(curve)
     assert net.depth == 1
@@ -77,7 +105,7 @@ def test_constant_component_lowers_at_depth_one():
 
 def test_serial_and_affine_fold():
     rng = np.random.default_rng(1)
-    f = lower_scalar_cpwl(hat(0.0, 0.5, 1.0))
+    f = lower_scalar(hat(0.0, 0.5, 1.0))
     g = pre_affine(post_affine(f, np.array([[3.0]]), np.array([1.0])),
                    np.array([[0.5]]), np.array([0.25]))
     # affine composition must not add depth
@@ -155,8 +183,8 @@ def test_passthrough_exact():
 
 
 def test_stack_nets_pads_depth():
-    f = lower_scalar_cpwl(hat(0.0, 0.5, 1.0))        # depth 1
-    g = serial(f, lower_scalar_cpwl(hat(0.0, 0.5, 1.0)))  # depth 2
+    f = lower_scalar(hat(0.0, 0.5, 1.0))        # depth 1
+    g = serial(f, lower_scalar(hat(0.0, 0.5, 1.0)))  # depth 2
     st = stack_nets([f, g], [[0], [0]], 1)
     assert st.depth == 2
     ts = np.linspace(-1, 2, 150)
@@ -175,7 +203,7 @@ def test_lower_curve_1d():
 
 def test_wide_stacking_is_exact():
     # 100 copies side by side, in dense block-diagonal layers 4,000 wide
-    base = lower_scalar_cpwl(ScalarCpwl(np.linspace(0, 1, 40),
+    base = lower_scalar(ScalarCpwl(np.linspace(0, 1, 40),
                                         np.sin(np.linspace(0, 6, 40))))
     wide = stack_nets([serial(base, passthrough(1, "general", 1))] * 100,
                       [[0]] * 100, 1)
@@ -188,7 +216,7 @@ def test_wide_stacking_is_exact():
 
 def test_plan_is_built_once():
     # one plan per net, shared by every float64 call and by eval_exact
-    net = serial(lower_scalar_cpwl(hat(0.0, 0.5, 1.0)), passthrough(1, "general", 2))
+    net = serial(lower_scalar(hat(0.0, 0.5, 1.0)), passthrough(1, "general", 2))
     ts = np.linspace(-0.5, 1.5, 11)[:, None]
     with mock.patch.object(network, "_diagonal_blocks",
                            wraps=network._diagonal_blocks) as split:
@@ -275,7 +303,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         serial(identity_net(2), identity_net(3))
     with pytest.raises(ValueError):
-        serial(passthrough(2, "general", 1), lower_scalar_cpwl(hat(0.0, 0.5, 1.0)))
+        serial(passthrough(2, "general", 1), lower_scalar(hat(0.0, 0.5, 1.0)))
     with pytest.raises(ValueError):
         ReluNetwork(1, [Layer(np.eye(2), np.zeros(2), "relu")])
     for lay in [Layer(np.ones((2, 1)), np.zeros(3), "relu"),
@@ -460,7 +488,7 @@ def test_composition_folds_only_at_seams(chain):
 
 
 def test_save_network_skips_block_split(tmp_path):
-    net = stack_nets([passthrough(2, "general", 2), lower_scalar_cpwl(hat(0.0, 0.5, 1.0))],
+    net = stack_nets([passthrough(2, "general", 2), lower_scalar(hat(0.0, 0.5, 1.0))],
                      [[0, 1], [0]], 2)
     with mock.patch.object(network, "_diagonal_blocks",
                            wraps=network._diagonal_blocks) as split:

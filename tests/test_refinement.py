@@ -6,7 +6,7 @@ import pytest
 from refinet.cpwl import CpwlCurve, ScalarCpwl, hat
 from refinet.gallery import koch
 from refinet.refinement import (RefinementOp, apply_v, apply_v_n,
-                                block_transition, cascade_eval, digit_residual,
+                                block_transitions, cascade_eval, digit_residual,
                                 residual_iterate, transition_norm, vectorize)
 import test_random_operators as random_ops
 
@@ -136,7 +136,7 @@ def test_apply_v_n_iterates():
 def test_block_transition_entries():
     op = random_op(2, 2, 2, 9)
     q = 1
-    T = block_transition(op, q)
+    T = block_transitions(op)[q]
     p, L = op.p, op.L
     for k in range(L):
         for l in range(L):
@@ -198,7 +198,7 @@ def test_transition_norm_positive():
     op = random_op(3, 2, 1, 14)
     lam = transition_norm(op)
     assert lam > 0
-    assert lam >= np.max(np.abs(block_transition(op, 0).T).sum(axis=1)) - 1e-12
+    assert lam >= np.max(np.abs(block_transitions(op)[0].T).sum(axis=1)) - 1e-12
 
 
 def test_operators_compare_by_content():
