@@ -31,7 +31,8 @@ def parse_operator_spec(d: dict):
 
     Returns (op, forcing): ``forcing`` is None, or the function r -> B_r of
     the listed curves, the last of which repeats for later stages.  A mask
-    index listed twice, or a non-finite entry, is a ``SpecParseError``.
+    index listed twice, a non-finite entry, or a forcing curve that is not
+    rows of t and p values, is a ``SpecParseError``.
     """
     try:
         M, p, L = int(d["M"]), int(d["p"]), int(d["L"])
@@ -44,6 +45,8 @@ def parse_operator_spec(d: dict):
         pts = [np.asarray(entry["curve"], dtype=float) for entry in d.get("forcing", [])]
         if not all(np.isfinite(a).all() for a in [*mask.values(), *pts]):
             raise ValueError("a mask or forcing entry is not finite")
+        if any(c.ndim != 2 or c.shape[1] != 1 + p for c in pts):
+            raise ValueError(f"a forcing curve does not have 1 + p = {1 + p} columns")
         curves = [CpwlCurve(tuple(ScalarCpwl(c[:, 0], c[:, 1 + i]) for i in range(p)), L)
                   for c in pts]
     except (KeyError, TypeError, ValueError, IndexError) as exc:

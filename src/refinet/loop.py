@@ -119,9 +119,10 @@ def build_controller_field(M: int) -> PlanarCpwlField:
     """CPwL field F on the triangle with F(E(t)) = E(R(t)).
 
     The loop vertices k/M, (3k+1)/(3M), (3k+2)/(3M) and their values are
-    rational and the hat planes are solved from them exactly; for M = 2..16
-    every hat-plane coefficient is an integer and every readout weight is
-    0 or 1, so the lowered controller's weights are exact.  Iterated by
+    rational and the rays and hat weights are solved from them exactly; for
+    M = 2..16 every ray coefficient is an integer, every hat weight a dyadic
+    rational with denominator at most 16 and every readout weight 0 or 1,
+    so the lowered controller's weights are exact.  Iterated by
     ``network.eval_exact`` from an exact E(x) it then follows the exact
     orbit that ``residual_iterate`` rounds.  In float64 (the compiled
     networks) its drift grows about M^n eps.

@@ -5,12 +5,16 @@ A fan field is affine on each triangle (c, v_i, v_{i+1}) of a closed
 boundary polygon v_0..v_{n-1} around a center c, so it equals
 v_c + sum_i (v_i - v_c) hat_i, where hat_i is the Courant hat of boundary
 vertex i.  With lr_i its barycentric coordinate in (c, v_i, v_{i+1}) and
-ll_i its coordinate in (c, v_{i-1}, v_i), hat_i = ReLU(min(lr_i, ll_i))
-whenever the two triangles at v_i span less than pi at the center, and
-ReLU(min(a, b)) = ReLU(ReLU(a) - ReLU(a - b)) for any a, b: two ReLU
-layers (He, Li, Xu & Zheng, arXiv:1807.03973).  ``fan_field`` inserts
-boundary-edge midpoints until every wedge is below pi, and the outputs of
-a field share the hat layers, differing only in the linear readout.
+ll_i its coordinate in (c, v_{i-1}, v_i), hat_i = ReLU(min(lr_i, ll_i)) =
+ReLU(ReLU(lr_i) - ReLU(lr_i - ll_i)) whenever the two triangles at v_i
+span less than pi at the center (He, Li, Xu & Zheng, arXiv:1807.03973).
+Let rho_j be a linear function that vanishes on the line through c and
+v_j and is positive toward v_{j-1}.  Then lr_i = alpha_i rho_{i+1} and
+lr_i - ll_i = beta_i rho_i with alpha_i, beta_i > 0, so hat_i =
+ReLU(alpha_i ReLU(rho_{i+1}) - beta_i ReLU(rho_i)): one first-layer unit
+per ray.  ``fan_field`` inserts boundary-edge midpoints until every wedge
+is below pi, and the outputs of a field share the hidden layers, differing
+only in the linear readout.
 """
 from __future__ import annotations
 
@@ -21,49 +25,20 @@ import numpy as np
 
 from .network import Layer, ReluNetwork
 
-INSIDE_TOL = 1e-9  # barycentric slack before a point counts as outside the fan
-
 
 @dataclass(frozen=True)
 class PlanarCpwlField:
     """A fan field: vertices (n+1, 2), the center first; values (n+1, d);
-    hat_planes (2n, 3), the first-layer planes a x + b y + c of lr_i
-    (rows 0..n-1) and lr_i - ll_i (rows n..2n-1); weights (n, d), the
-    readout v_i - v_c."""
+    rays (n, 3), the linear functions a x + b y + c of rho_i; hat_weights
+    (n, 2), the (alpha_i, beta_i) of hat_i = ReLU(alpha_i ReLU(rho_{i+1}) -
+    beta_i ReLU(rho_i)), indices mod n; weights (n, d), the readout
+    v_i - v_c."""
 
     vertices: np.ndarray
     values: np.ndarray
-    hat_planes: np.ndarray
+    rays: np.ndarray
+    hat_weights: np.ndarray
     weights: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def triangles(self) -> np.ndarray:
-        n = self.vertices.shape[0] - 1
-        return np.array([[0, 1 + i, 1 + (i + 1) % n] for i in range(n)])
-
-    def __call__(self, pts):
-        """Direct barycentric evaluation (oracle path)."""
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        P = np.atleast_2d(pts)
-        out = np.full((P.shape[0], self.d), np.nan)
-        best = np.full(P.shape[0], -np.inf)
-        for tri in self.triangles:
-            V = self.vertices[tri]
-            A = np.column_stack([V, np.ones(3)])
-            lam = np.linalg.solve(A.T, np.column_stack([P, np.ones(P.shape[0])]).T).T
-            m = lam.min(axis=1)
-            upd = m > best
-            if np.any(upd):
-                out[upd] = lam[upd] @ self.values[tri]
-                best[upd] = m[upd]
-        if np.any(best < -INSIDE_TOL):
-            raise ValueError("point outside the triangulated region")
-        return out[0] if single else out
 
 
 def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwlField:
@@ -72,10 +47,9 @@ def fan_field(center, center_value, boundary_pts, boundary_values) -> PlanarCpwl
     Every datum is read as its exact rational value (floats of any width,
     ints or ``fractions.Fraction``).  Boundary-edge midpoints, with their
     interpolated values, are inserted until every wedge is below pi, which
-    leaves the field unchanged.  The hat planes and the readout weights are
-    solved exactly in integers over one common denominator D of the data
-    (``fan_core``), and each rounded once to float64 as a correctly rounded
-    int / int.
+    leaves the field unchanged.  The rays, hat weights and readout weights
+    are solved exactly in integers over one common denominator D of the data
+    (``fan_core``), and each rounded once to float64.
     """
     bvals = np.asarray(boundary_values, dtype=object)
     if bvals.ndim == 1:
@@ -115,36 +89,43 @@ def fan_core(D: int, rows) -> PlanarCpwlField:
         i = wide[0]
         ring[i:i + 1] = [mid(ring[i - 1], ring[i]), ring[i], mid(ring[i], ring[(i + 1) % n])]
 
-    def plane(a):
-        # numerators of the affine function p -> cross(a, p - c) / den over
-        # sign D^2 den, for a and den stored as D and D^2 times their values;
-        # sign den > 0, so no coefficient rounds to -0.0
-        return [sign * s for s in (-a[1] * D, a[0] * D, a[1] * cx - a[0] * cy)]
-
-    right, diff = [], []
-    for i, u in enumerate(ring):
-        prev, nxt = ring[i - 1], ring[(i + 1) % n]
-        den_r, den_l = sign * cross(u, nxt), sign * cross(prev, u)
-        lr, ll = plane([-nxt[0], -nxt[1]]), plane(prev)
-        right.append([a / den_r for a in lr])
-        diff.append([(a * den_l - b * den_r) / (den_r * den_l) for a, b in zip(lr, ll)])
+    # P_j: the numerators over D^2 of p -> sign cross(p - c, u_j / D), which
+    # vanishes on the line through c and v_j.  With den_i =
+    # sign cross(u_i, u_{i+1}) > 0, lr_i = P_{i+1} / den_i and lr_i - ll_i =
+    # sign cross(u_{i-1}, u_{i+1}) P_i / (den_{i-1} den_i).  rho_j =
+    # 2^e P_j / gcd(P_j), e = floor(log2) of m_j = gcd(P_j) / den_{j-1} in
+    # float64, so that alpha_{j-1} = m_j / 2^e lies in [1, 2).
+    P = [[sign * s for s in (u[1] * D, -u[0] * D, u[0] * cy - u[1] * cx)] for u in ring]
+    G = [math.gcd(*p) for p in P]
+    den = [sign * cross(u, ring[(i + 1) % n]) for i, u in enumerate(ring)]
+    m = [math.frexp(g / d) for g, d in zip(G, den[-1:] + den[:-1])]
+    beta = [sign * cross(ring[i - 1], ring[(i + 1) % n]) * G[i] / (den[i - 1] * den[i])
+            for i in range(n)]
     return PlanarCpwlField(
         vertices=np.array([[cx / D, cy / D]] + [[(r[0] + cx) / D, (r[1] + cy) / D]
                                                 for r in ring]),
         values=np.array([[v / D for v in r] for r in [cv] + [r[2:] for r in ring]]),
-        hat_planes=np.array(right + diff),
+        rays=np.array([[math.ldexp(s // g, e - 1) for s in p] for p, g, (_, e) in zip(P, G, m)]),
+        hat_weights=np.array([[2 * f, math.ldexp(b, 1 - e)] for (f, _), b, (_, e)
+                              in zip(m[1:] + m[:1], beta, m)]),
         weights=np.array([[(v - w) / D for v, w in zip(r[2:], cv)] for r in ring]))
 
 
 def lower_planar_field(field: PlanarCpwlField) -> ReluNetwork:
-    """Exact depth-2 ReLU realization of a fan field: a layer of hats shared
-    by its outputs, and one linear readout.  Only the hats of vertices with
-    a nonzero readout row are emitted: the others add 0 to every output.
-    A field with none keeps both (empty) hat layers, so it stays depth 2."""
-    live = np.flatnonzero(np.any(field.weights != 0, axis=1))
-    P = field.hat_planes[np.concatenate([live, len(field.weights) + live])]
-    I = np.eye(live.size)
+    """Exact depth-2 ReLU realization of a fan field: a layer of rays, a
+    layer of hats shared by its outputs, and one linear readout.  Only the
+    hats of vertices with a nonzero readout row are emitted, as the others
+    add 0 to every output, and only the rays they read: the right ray of
+    each, in hat order, then the left rays that are no hat's right ray.  A
+    field with no live hat keeps both (empty) hidden layers: depth 2."""
+    n = len(field.weights)
+    live = [i for i, w in enumerate(field.weights.tolist()) if any(w)]
+    col = {r: k for k, r in enumerate(dict.fromkeys([(i + 1) % n for i in live] + live))}
+    H = np.zeros((len(live), len(col)))
+    k = np.arange(len(live))
+    H[k, k], H[k, [col[i] for i in live]] = field.hat_weights[live].T * [[1], [-1]]
+    R = field.rays[list(col)]
     return ReluNetwork(2, [
-        Layer(P[:, :2], P[:, 2], "relu"),
-        Layer(np.hstack([I, -I]), np.zeros(live.size), "relu"),
+        Layer(R[:, :2], R[:, 2], "relu"),
+        Layer(H, np.zeros(len(live)), "relu"),
         Layer(field.weights[live].T, field.values[0], "linear")])

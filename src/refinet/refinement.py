@@ -161,9 +161,12 @@ def check_breakpoint_cap(size: int, factor: int, n: int):
 
 def apply_v_n(op: RefinementOp, curve: CpwlCurve, n: int) -> CpwlCurve:
     """n-fold application of the operator (the direct-recursion oracle);
-    refuses a negative n, and a stage past ``check_breakpoint_cap``."""
+    refuses a negative n, a curve of another dimension than the operator's
+    (at n = 0 too), and a stage past ``check_breakpoint_cap``."""
     if n < 0:
         raise ValueError("a stage power must be nonnegative")
+    if curve.p != op.p:
+        raise ValueError("curve dimension does not match operator")
     check_breakpoint_cap(max(c.ts.size for c in curve.components), len(op.mask), n)
     out = curve
     for _ in range(n):

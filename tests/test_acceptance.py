@@ -23,6 +23,7 @@ from refinet.reductions import (compile_affine, compile_anchored,
                                 stack_system)
 from refinet.refinement import (RefinementOp, apply_v, apply_v_n, cascade_eval,
                                 residual_iterate, vectorize)
+from reference import fan_eval
 
 
 def report(num, name, ok, detail):
@@ -125,7 +126,7 @@ def test_criterion_06_selector_partition_and_indicator():
     for M in [2, 3, 5]:
         cfg = LoopConfig(M, 3)
         ts = rng.uniform(0, 1, 10_000)
-        vals = selector_field(cfg)(embed(ts))
+        vals = fan_eval(selector_field(cfg), embed(ts))
         worst_pu = max(worst_pu, float(np.max(np.abs(vals.sum(axis=1) - 1.0))))
         off = np.mod(ts, 1 / M) > cfg.delta_n
         q = np.floor(M * ts[off]).astype(int)

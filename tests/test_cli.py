@@ -53,6 +53,15 @@ def test_malformed_forcing_is_parse_error():
         parse_operator_spec({**SPEC, "forcing": [{"curve": [0.5, 1.0]}]})
 
 
+def test_forcing_with_extra_columns_is_parse_error(tmp_path, capsys):
+    # a p = 1 forcing row [t, y, 9.0] holds a value that no component reads
+    rows = [[0.25, 0.0, 9.0], [0.5, 0.3, 9.0], [0.75, 0.0, 9.0]]
+    spec = _write_spec(tmp_path, {**FORCED_SPEC, "forcing": [{"curve": rows}]})
+    rc = main(["verify", "--spec", spec, "--mode", "affine", "--stage", "2"])
+    assert rc == 2
+    assert "1 + p = 2 columns" in capsys.readouterr().err
+
+
 # json writes NaN and infinities as NaN and Infinity, which json.load reads back
 @pytest.mark.parametrize("spec, mode, why", [
     ({**SPEC, "mask": [*SPEC["mask"], {"j": 1, "A": [[0.5]]}]}, "homogeneous", "j=1 twice"),

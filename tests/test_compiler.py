@@ -248,15 +248,15 @@ def test_negative_stage_is_refused():
         apply_v_n(op, gam, -1)
 
 
-@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("n", [0, 1, 2])
 def test_curve_dimension_must_match_operator(n):
     # p = 1 with a two-component curve, and p = 2 with a one-component one:
-    # compile refuses both at every stage, as apply_v_n does from stage 1 on
+    # compile and apply_v_n refuse both at every stage, n = 0 included
     one = CpwlCurve((hat(0.25, 0.5, 0.75),), 1)
     two = CpwlCurve((hat(0.25, 0.5, 0.75), hat(0.3, 0.5, 0.7)), 1)
     op2 = RefinementOp(2, 2, 1, {0: np.eye(2), 1: np.eye(2)})
     for op, curve in [(scalar_op(), two), (op2, one)]:
-        for run in (compile_homogeneous, apply_v_n)[:1 + (n > 0)]:
+        for run in (compile_homogeneous, apply_v_n):
             with pytest.raises(ValueError, match="curve dimension does not match operator"):
                 run(op, curve, n)
 

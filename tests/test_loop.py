@@ -17,7 +17,8 @@ from refinet.planar import lower_planar_field
 from refinet.refinement import digit_residual, residual_iterate
 from test_compiler import clear_caches
 from test_network import unread_units
-from test_planar import assert_exact_fan
+from reference import fan_eval
+from test_planar import assert_exact_fan, assert_one_unit_per_ray
 
 
 def test_embed_landmarks():
@@ -43,15 +44,15 @@ def test_controller_transports_residual():
     for M in [2, 3, 7]:
         F = build_controller_field(M)
         ts = rng.uniform(0, 1, 300)
-        got = F(embed(ts)).reshape(-1, 2)
+        got = fan_eval(F, embed(ts)).reshape(-1, 2)
         want = embed(np.array([digit_residual(t, M)[1] for t in ts]))
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_controller_examples():
     F2 = build_controller_field(2)
-    assert np.allclose(F2(np.array([embed(np.array(0.25))]))[0], [1.0, 0.5])
-    assert np.allclose(F2(np.array([[0.0, 0.0]]))[0], [0.0, 0.0])
+    assert np.allclose(fan_eval(F2, np.array([embed(np.array(0.25))]))[0], [1.0, 0.5])
+    assert np.allclose(fan_eval(F2, np.array([[0.0, 0.0]]))[0], [0.0, 0.0])
 
 
 def test_orbit_alternates_for_third():
@@ -121,6 +122,20 @@ def test_loop_lowerings_emit_no_unread_unit(gallery_hats):
         net = lower_planar_field(field)
         assert unread_units(net) == 0
         assert net.layers[1].weights.shape[0] == np.count_nonzero(field.values[1:])
+
+
+def test_lowered_loop_fans_hold_one_unit_per_ray(gallery_hats):
+    # F, the selectors and H emit each ray that a live hat reads once, and
+    # no unit that is a positive multiple of another.  At M = 16, n = 20
+    # (delta_n = 2^-87) the selector fan's float64 vertices coincide, so its
+    # rays cannot all round apart (``test_selector_fields_are_exact`` checks
+    # them exact there); n = 12 stands in for it.
+    fields = [build_controller_field(M) for M in range(2, 17)]
+    fields += [selector_field(LoopConfig(M, n)) for M in [2, 3, 4, 7, 16]
+               for n in [0, 1, 5, 20 if M < 16 else 12]]
+    fields += [scalar_field(h) for h in gallery_hats]
+    for field in fields:
+        assert_one_unit_per_ray(field)
 
 
 def _exact_at(knots, t):
@@ -278,15 +293,16 @@ def test_selector_fields_match_scalars():
     cfg = LoopConfig(3, 2)
     thetas = selector_scalars(cfg)
     ts = np.linspace(0, 1, 700)
-    got = selector_field(cfg)(embed(ts))
+    got = fan_eval(selector_field(cfg), embed(ts))
     want = np.column_stack([th(ts) for th in thetas])
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("M, n, rows", [(2, 16, 12), (4, 3, 20), (7, 6, 32)])
+@pytest.mark.parametrize("M, n, rows", [(2, 16, 6), (4, 3, 10), (7, 6, 16)])
 def test_selector_fan_sits_on_corners_and_knots(M, n, rows):
     # the fan's boundary vertices are E(t) for the corners and the selector
-    # knots in [0, 1), and nothing else: not the controller's grid j/(3M)
+    # knots in [0, 1), and nothing else: not the controller's grid j/(3M);
+    # its lowering's first layer holds one unit per ray that a live hat reads
     cfg = LoopConfig(M, n)
     params = {Fraction(j, 3) for j in range(3)}
     params |= {t for knots in _selector_knots(cfg) for t, _ in knots if t < 1}

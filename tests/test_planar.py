@@ -8,11 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from refinet.loop import embed
 from refinet.network import stack_nets
 from refinet.planar import fan_field, lower_planar_field
+from reference import fan_eval, fan_triangles
 
 
 def sample_fan_points(rng, field, n):
     """Random barycentric points inside the field's own triangles."""
-    tris = field.triangles[rng.integers(0, len(field.triangles), n)]
+    tris = fan_triangles(field)
+    tris = tris[rng.integers(0, len(tris), n)]
     w = rng.uniform(0, 1, (n, 3))
     w /= w.sum(axis=1, keepdims=True)
     return np.einsum("nk,nkd->nd", w, field.vertices[tris])
@@ -30,7 +32,7 @@ def make_fan(rng, nb, d):
 def test_fan_interpolates_vertices():
     rng = np.random.default_rng(0)
     f = make_fan(rng, 7, 2)
-    got = f(f.vertices)
+    got = fan_eval(f, f.vertices)
     assert np.max(np.abs(got - f.values)) < 1e-10
 
 
@@ -41,7 +43,7 @@ def test_lowered_field_matches_everywhere():
         net = lower_planar_field(f)
         pts = sample_fan_points(rng, f, 500)
         got = net(pts)
-        want = f(pts).reshape(-1, d)
+        want = fan_eval(f, pts).reshape(-1, d)
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -93,10 +95,10 @@ def test_field_continuous_across_shared_edges():
     rng = np.random.default_rng(3)
     f = make_fan(rng, 6, 1)
     # points on the segment between the center and each boundary vertex
-    for tri in f.triangles:
+    for tri in fan_triangles(f):
         a, b = f.vertices[tri[0]], f.vertices[tri[1]]
         mid = 0.5 * (a + b)
-        va = f(np.array([mid]))
+        va = fan_eval(f, np.array([mid]))
         net = lower_planar_field(f)
         assert np.max(np.abs(net(np.array([mid])) - va.reshape(1, -1))) < 1e-10
 
@@ -193,8 +195,8 @@ def _triangle_ring():
 @example(((0.5, 0.5), [1], [(1.5, 0.5), (0.5, 1.5), (-0.5, 0.5), (0.5, -0.5)],
           [[Fraction(1, 3)], [2], [Fraction(-5, 7)], [0]]))
 def test_fan_planes_exact_on_rational_data(data):
-    # the hat planes, readout weights, values and vertices the lowering
-    # reads must be the exact ones, each rounded once
+    # the rays, hat weights, readout weights, values and vertices the
+    # lowering reads must be the exact ones, each rounded once
     center, cval, pts, vals = data
     field = fan_field(center, cval, pts, vals)
 
@@ -205,26 +207,84 @@ def test_fan_planes_exact_on_rational_data(data):
                      [[*map(exact, p), *map(exact, v)] for p, v in zip(pts, vals)])
 
 
+def _ratio(a, b):
+    """The c with a = c b, for vectors a and b of ``Fraction``s."""
+    k = next(k for k, x in enumerate(b) if x)
+    c = a[k] / b[k]
+    assert list(a) == [c * x for x in b]
+    return c
+
+
+def _ray(plane):
+    """The ray unit that replaces ``plane`` (``Fraction``s): its primitive
+    integer functional g times the power of two 2^e with plane / g in
+    [2^e, 2^(e+1)) in float64."""
+    q = math.lcm(*(x.denominator for x in plane))
+    ints = [int(x * q) for x in plane]
+    g = math.gcd(*ints)
+    e = math.frexp(g / q)[1] - 1
+    return [Fraction(k // g) * Fraction(2) ** e for k in ints]
+
+
 def assert_exact_fan(field, c, cv, ring):
-    """``field``'s vertices, values, hat planes and readout weights are each
-    the correctly rounded exact one of the fan with center c, center values
-    cv and boundary rows ``ring`` [x, y, values...], all ``Fraction``s."""
+    """``field``'s vertices, values, rays, hat weights and readout weights
+    are each the correctly rounded exact one of the fan with center c,
+    center values cv and boundary rows ``ring`` [x, y, values...], all
+    ``Fraction``s.  Ray i replaces the right plane lr_{i-1} of vertex i - 1,
+    and hat i's (alpha_i, beta_i) are the positive ratios lr_i / rho_{i+1}
+    and (lr_i - ll_i) / rho_i of its barycentric planes."""
     ring = _exact_ring(c, ring)
     n = len(ring)
 
     def rounded(xs):
         return np.array([float(x) for x in xs]).tobytes()
 
-    assert field.hat_planes.shape == (2 * n, 3)
+    assert field.rays.shape == (n, 3) and field.hat_weights.shape == (n, 2)
     assert field.vertices.tobytes() == rounded([x for r in [c] + ring for x in r[:2]])
     assert field.values.tobytes() == rounded([x for r in [c + cv] + ring for x in r[2:]])
+    xy = [r[:2] for r in ring]
+    lr = [_exact_plane([c, xy[i], xy[(i + 1) % n]], [0, 1, 0]) for i in range(n)]
+    rays = [_ray(lr[i - 1]) for i in range(n)]
     for i in range(n):
-        prev, v, nxt = ring[i - 1][:2], ring[i][:2], ring[(i + 1) % n][:2]
-        lr = _exact_plane([c, v, nxt], [0, 1, 0])
-        ll = _exact_plane([c, prev, v], [0, 0, 1])
-        assert field.hat_planes[i].tobytes() == rounded(lr)
-        assert field.hat_planes[n + i].tobytes() == rounded([a - b for a, b in zip(lr, ll)])
+        ll = _exact_plane([c, xy[i - 1], xy[i]], [0, 0, 1])
+        alpha = _ratio(lr[i], rays[(i + 1) % n])
+        beta = _ratio([a - b for a, b in zip(lr[i], ll)], rays[i])
+        assert alpha > 0 and beta > 0
+        assert field.rays[i].tobytes() == rounded(rays[i])
+        assert field.hat_weights[i].tobytes() == rounded([alpha, beta])
         assert field.weights[i].tobytes() == rounded([a - b for a, b in zip(ring[i][2:], cv)])
+    assert len(_directions(rays)) == n
+
+
+def _directions(units) -> set:
+    """The units (``Fraction`` rows) scaled to a first nonzero entry of
+    magnitude 1: two units share one if one is a positive multiple of the
+    other."""
+    out = set()
+    for u in units:
+        s = next(abs(x) for x in u if x)
+        out.add(tuple(x / s for x in u))
+    return out
+
+
+def assert_one_unit_per_ray(field):
+    """The first layer of ``field``'s lowering holds each ray that a live hat
+    reads once and no other, and no two of its rows are positive multiples
+    of each other, in ``Fraction``s; hat i reads alpha_i from ray i + 1 and
+    -beta_i from ray i."""
+    net = lower_planar_field(field)
+    n = len(field.weights)
+    live = np.flatnonzero(np.any(field.weights != 0, axis=1)).tolist()
+    units = np.column_stack([net.layers[0].weights, net.layers[0].bias])
+    col = {u.tobytes(): k for k, u in enumerate(units)}
+    assert len(col) == len(units)
+    assert set(col) == {field.rays[j].tobytes() for i in live for j in (i, (i + 1) % n)}
+    want = np.zeros((len(live), len(units)))
+    for k, i in enumerate(live):
+        want[k, col[field.rays[(i + 1) % n].tobytes()]] = field.hat_weights[i, 0]
+        want[k, col[field.rays[i].tobytes()]] = -field.hat_weights[i, 1]
+    assert np.array_equal(net.layers[1].weights, want)
+    assert len(_directions([[Fraction(x) for x in u] for u in units.tolist()])) == len(units)
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,5 +302,6 @@ def test_lowered_fan_exact_with_wide_wedges(ks, d, seed):
     f = fan_field(center, rng.normal(size=d), embed(ts), rng.normal(size=(len(ts), d)))
     net = lower_planar_field(f)
     assert net.depth == 2
+    assert_one_unit_per_ray(f)
     pts = np.vstack([f.vertices, sample_fan_points(rng, f, 200)])
-    assert np.max(np.abs(net(pts) - f(pts).reshape(-1, d))) < 1e-10
+    assert np.max(np.abs(net(pts) - fan_eval(f, pts).reshape(-1, d))) < 1e-10

@@ -58,16 +58,16 @@ def cli_anchored(name, n):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, (99, 15, 2382, 7095, 699049.67)),
-    (lambda: anchored("koch", 3), (25, 80, 3224, 13754, 341.0)),
-    (lambda: anchored("heighway", 8), (190, 72, 21838, 78690, 1364.34)),
+    (scalar_deep, (99, 9, 1816, 4782, 524285.75)),
+    (lambda: anchored("koch", 3), (25, 56, 2552, 10145, 253.75)),
+    (lambda: anchored("heighway", 8), (190, 66, 19024, 74628, 1021.75)),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_nets_within_ceiling(build, ceiling):
     got = structure(build().net)
     assert all(g <= c for g, c in zip(got, ceiling)), (got, ceiling)
 
 
-@pytest.mark.parametrize("name, width", [("hilbert", 206), ("morton3", 996)],
+@pytest.mark.parametrize("name, width", [("hilbert", 164), ("morton3", 786)],
                          ids=["hilbert", "morton3"])
 def test_gallery_stage3_within_width_ceiling(name, width):
     # every core is cut to the branch channels that its cells read, and to
@@ -78,7 +78,7 @@ def test_gallery_stage3_within_width_ceiling(name, width):
 
 def test_widest_gallery_net_fits_dense():
     # morton3 anchored stage 3, the widest of the CLI's gallery builds, holds
-    # 29.3 MiB of dense weights; a net past 32 MiB calls for a sparser format
+    # 22.9 MiB of dense weights; a net past 32 MiB calls for a sparser format
     net = cli_anchored("morton3", 3).net
     assert sum(l.weights.nbytes for l in net.layers) < 32 * 2 ** 20
 
@@ -135,9 +135,9 @@ def stacked_rows(build):
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep_sweep, 568),
-    (lambda: anchored("koch", 3), 1353),
-    (lambda: anchored("heighway", 8), 8407),
+    (scalar_deep_sweep, 466),
+    (lambda: anchored("koch", 3), 1173),
+    (lambda: anchored("heighway", 8), 7519),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_compiles_within_stacked_rows_ceiling(build, ceiling):
     rows = stacked_rows(build)
@@ -166,9 +166,9 @@ def test_eval_holds_one_tile_of_buffers():
 
 
 @pytest.mark.parametrize("build, ceiling", [
-    (scalar_deep, 263),
-    (lambda: anchored("koch", 3), 120),
-    (lambda: anchored("heighway", 8), 1192),
+    (scalar_deep, 279),
+    (lambda: anchored("koch", 3), 126),
+    (lambda: anchored("heighway", 8), 1148),
 ], ids=["scalar-deep", "koch-anchored", "heighway-anchored"])
 def test_benchmark_plans_fold_every_bias(build, ceiling):
     # a layer is its matmuls, a fill of its ones rows and its ReLU: every

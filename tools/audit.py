@@ -14,7 +14,8 @@ DIR`` makes one).  Each is imported in a process of its own, from its own
 Per artifact it prints whether every layer hashes (sha256) the same,
 whether the outputs on the verify grid (``--grid 1000``) are bitwise equal
 and else their max|Δ|, each side's max|err| against its oracle, and each
-side's depth, width, nnz and ``eval_entries``.  A summary line follows.
+side's depth, width, nnz, ``eval_entries`` and ``coeff_max``.  A summary
+line follows, with the counts summed and ``coeff_max`` the largest.
 Only the standard library and numpy are used.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ EXAMPLES = ["koch", "levy", "heighway", "hilbert_type", "hilbert", "gosper",
             "morton2", "morton3", "hilbert_rp2", "hilbert_rp3"]
 STAGES = range(4)
 GRID = 1000
-STATS = ("depth", "width", "nnz", "eval_entries")
+STATS = ("depth", "width", "nnz", "eval_entries")   # counts, summed in the totals
 
 
 def _layer_hash(layer) -> str:
@@ -99,7 +100,8 @@ def collect(tree: Path, dest: Path):
         err = float(np.max(np.abs(got - want(ts).reshape(len(ts), op.p))))
         stats = net_stats(ci.net)
         records.append({"name": name, "layers": [_layer_hash(l) for l in ci.net.layers],
-                        "err": err, **{k: int(stats[k]) for k in STATS}})
+                        "err": err, **{k: int(stats[k]) for k in STATS},
+                        "coeff_max": float(stats["coeff_max"])})
         outputs[f"a{i}"] = got
     (dest / "records.json").write_text(json.dumps(records))
     np.savez(dest / "outputs.npz", **outputs)
@@ -115,7 +117,8 @@ def _run(tree: Path, dest: Path):
 
 
 def _moved(a, b) -> str:
-    return str(a) if a == b else f"{a}->{b}"
+    a, b = (f"{v:.8g}" if isinstance(v, float) else str(v) for v in (a, b))
+    return a if a == b else f"{a}->{b}"
 
 
 def compare(tree_a: Path, tree_b: Path) -> int:
@@ -132,7 +135,7 @@ def compare(tree_a: Path, tree_b: Path) -> int:
     max_delta, worst = 0.0, (0.0, "")
     totals = {k: [0, 0] for k in STATS}
     print(f"{'artifact':<34} {'layers':<8} {'outputs':<15} {'err A':>9} {'err B':>9}  "
-          + " ".join(STATS))
+          + " ".join(STATS) + " coeff_max")
     for a, b, ya, yb in zip(ra, rb, oa, ob):
         layers = a["layers"] == b["layers"]
         bitwise = ya.shape == yb.shape and ya.tobytes() == yb.tobytes()
@@ -153,12 +156,13 @@ def compare(tree_a: Path, tree_b: Path) -> int:
             totals[k][1] += b[k]
         print(f"{a['name']:<34} {'equal' if layers else 'differ':<8} {out:<15} "
               f"{a['err']:>9.2e} {b['err']:>9.2e}  "
-              + " ".join(_moved(a[k], b[k]) for k in STATS))
+              + " ".join(_moved(a[k], b[k]) for k in STATS + ("coeff_max",)))
     print(f"summary: {len(ra)} artifacts, {same_layers} with equal layers, {same_out} with "
           f"bitwise outputs, max|d|={max_delta:.2e}, worst err ratio B/A "
           f"{worst[0]:.3g} ({worst[1]}), max err A={max(r['err'] for r in ra):.2e} "
           f"B={max(r['err'] for r in rb):.2e}, totals "
-          + " ".join(f"{k}={_moved(*totals[k])}" for k in STATS))
+          + " ".join(f"{k}={_moved(*totals[k])}" for k in STATS)
+          + f" coeff_max={_moved(*(max(r['coeff_max'] for r in rs) for rs in (ra, rb)))}")
     return 0
 
 
